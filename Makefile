@@ -10,7 +10,7 @@ CARGO ?= cargo
 BENCH_SMOKE_JSONL := target/bench-smoke.jsonl
 BENCH_RESULTS := target/BENCH_results.json
 
-.PHONY: all build test bench bench-run bench-smoke batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv doc lint fmt ci clean
+.PHONY: all build test bench bench-run bench-smoke perfbench-check batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv doc lint fmt ci clean
 
 all: build
 
@@ -43,6 +43,13 @@ bench-smoke:
 	@paste -sd, $(BENCH_SMOKE_JSONL) >> $(BENCH_RESULTS)
 	@printf ']}\n' >> $(BENCH_RESULTS)
 	@echo "wrote $(BENCH_RESULTS)"
+
+## Compile the end-to-end benchmark (perfbench/, its own workspace, so
+## `cargo build --workspace` never sees it): an API change that breaks
+## it fails here instead of after merge.
+perfbench-check:
+	$(CARGO) build --release --locked --manifest-path perfbench/Cargo.toml \
+		--target-dir target/perfbench
 
 ## Smoke-run the batch exploration engine end-to-end: the committed
 ## 20-job sample manifest (4 seed benchmarks + 16 synthetic workloads)
@@ -79,10 +86,10 @@ shard-smoke: build
 scale-smoke: build
 	sh scripts/scale_smoke.sh target/release/sunmap target/scale-smoke
 
-## Deep-run the three-way engine equivalence suite (reference == flat
-## == event-driven, bit for bit). SIM_EQUIV_CASES=N adds N extra
-## injection rates per scenario on top of the committed ones; raise it
-## for a longer soak (CI runs the default via `make test`).
+## Deep-run the engine equivalence suite (reference == event-driven,
+## bit for bit). SIM_EQUIV_CASES=N adds N extra injection rates per
+## scenario on top of the committed ones; raise it for a longer soak
+## (CI runs the default via `make test`).
 SIM_EQUIV_CASES ?= 4
 sim-equiv:
 	SIM_EQUIV_CASES=$(SIM_EQUIV_CASES) $(CARGO) test --locked -p sunmap-sim \
@@ -120,7 +127,7 @@ fmt:
 	$(CARGO) fmt --all
 
 ## Everything CI gates on, in CI's order.
-ci: lint build test doc bench bench-smoke batch-smoke serve-smoke shard-smoke scale-smoke
+ci: lint build test doc bench bench-smoke perfbench-check batch-smoke serve-smoke shard-smoke scale-smoke
 
 clean:
 	$(CARGO) clean

@@ -121,7 +121,8 @@ impl std::error::Error for ManifestError {}
 /// routing MP
 /// capacity 500
 /// constraints strict
-/// engine event              # optional: probe simulation engine
+/// engine event              # optional: probe engine (auto|flat|event
+///                           # run the event engine; reference = oracle)
 /// table-prep lazy           # optional: route-table preparation
 /// simulate uniform 0.1 3    # optional: simulate each job's 3 best
 /// ```
@@ -141,10 +142,10 @@ pub struct BatchManifest {
     /// part of the job id — it never changes a job's winning bytes,
     /// only how fast the sweep finds them).
     pub swap: Option<SwapStrategy>,
-    /// Simulation engine applied to every job's probe (default `auto`;
-    /// not part of the job id — all engines are bit-identical, so it
-    /// never changes a job's measured numbers, only how fast the probe
-    /// runs).
+    /// Simulation engine applied to every job's probe (default `auto`).
+    /// `auto`, `flat` and `event` name the one event-driven engine and
+    /// `reference` the oracle. Not part of the job id — the two are
+    /// bit-identical, so it never changes a job's measured numbers.
     pub engine: Option<SimEngine>,
     /// Route-table preparation applied to every job (default `auto`;
     /// not part of the job id — every variant answers queries
@@ -853,10 +854,28 @@ capacity 1000
     }
 
     #[test]
+    fn legacy_engine_spellings_render_their_historical_line() {
+        // `engine flat` and `engine auto` still parse as written, and a
+        // top-k probe at 0.3 renders the exact line both produced when
+        // `auto` switched to a separate flat engine at that load
+        // (captured in the committed fixture).
+        let expected = include_str!("../tests/fixtures/batch_engine_flat_0.3.jsonl").trim_end();
+        for (spelling, engine) in [("flat", SimEngine::Flat), ("auto", SimEngine::Auto)] {
+            let m = BatchManifest::parse(&format!(
+                "app dsp\ncapacity 1000\nengine {spelling}\nsimulate uniform 0.3 3\n"
+            ))
+            .unwrap();
+            let jobs = m.jobs().unwrap();
+            assert_eq!(jobs[0].request.engine, engine);
+            assert_eq!(collect(&jobs, 1), [expected], "engine {spelling}");
+        }
+    }
+
+    #[test]
     fn engines_produce_identical_winner_bytes() {
-        // The three-way equivalence contract surfaces here as whole
-        // batch lines: a winner-only probe renders the same bytes on
-        // every engine.
+        // The engine equivalence contract surfaces here as whole batch
+        // lines: a winner-only probe renders the same bytes under
+        // every engine spelling.
         let run = |engine: &str| {
             let m = BatchManifest::parse(&format!(
                 "app dsp\ncapacity 1000\nengine {engine}\nsimulate uniform 0.05\n"

@@ -254,7 +254,8 @@ pub fn swap_name(swap: SwapStrategy) -> &'static str {
 
 /// Parses a simulation-engine name (`auto`, `flat`, `event`,
 /// `reference`), case-insensitively — shared by the manifest parser,
-/// the CLI's `--engine` flag and the request JSON reader.
+/// the CLI's `--engine` flag and the request JSON reader. The first
+/// three name the one event-driven engine; `reference` is the oracle.
 ///
 /// # Errors
 ///
@@ -299,8 +300,9 @@ pub struct ExploreRequest {
     /// Phase-3 swap strategy (default `auto`).
     pub swap: SwapStrategy,
     /// Simulation engine for probes and validation runs (default
-    /// `auto`: event-driven below [`SimEngine::AUTO_EVENT_MAX_LOAD`],
-    /// flat otherwise).
+    /// `auto`). `auto`, `flat` and `event` all run the event-driven
+    /// engine and `reference` runs the oracle; every spelling is kept
+    /// as written, so a request re-renders byte for byte.
     pub engine: SimEngine,
     /// Route-table preparation policy (default `auto`: eager on small
     /// topologies, lazy/closed-form at scale — reports are
@@ -671,6 +673,20 @@ pub struct ExecStats {
     pub probe_nanos: u64,
 }
 
+/// The `"engine"` label a top-k probe record prints for a request's
+/// engine spelling at `rate`. This is a report label, not the engine
+/// that ran: every spelling but `reference` runs the event-driven
+/// engine. The labels keep the bytes the reports had when `auto`
+/// switched to a separate dense-scan engine (`flat`) at loads of 0.15
+/// and above, so logged reports replay byte for byte.
+fn probe_engine_label(engine: SimEngine, rate: f64) -> &'static str {
+    match engine {
+        SimEngine::Auto if rate < 0.15 => SimEngine::EventDriven.name(),
+        SimEngine::Auto => SimEngine::Flat.name(),
+        spelled => spelled.name(),
+    }
+}
+
 /// Executes `req` for the already-resolved `app` against the
 /// per-topology states `topos` and renders the report *body*: the
 /// fields from `"app":` through `"winner":...` without surrounding
@@ -782,28 +798,21 @@ pub fn execute(
                     .take(k)
                     .map(|&cand| {
                         let tc = &mut topos[cand];
-                        let mut builder = SimSession::builder(&tc.graph).config(config);
-                        if req.engine != SimEngine::Reference {
-                            // The probe plan comes from the same shared
-                            // table the mapper used; compiled once per
-                            // topology, reused by every later request
-                            // that probes the same candidate. All
-                            // indexed engines share one plan class.
-                            let plan = match &tc.plan {
-                                Some(plan) => plan.clone(),
-                                None => {
-                                    let plan = Arc::new(RoutePlan::synthetic(
-                                        &tc.graph,
-                                        &mut tc.table,
-                                        &config,
-                                    ));
-                                    tc.plan = Some(plan.clone());
-                                    plan
-                                }
-                            };
-                            builder = builder.plan(plan);
-                        }
-                        let stats = builder.build().run_synthetic(&probe.pattern, probe.rate);
+                        // The probe plan comes from the same shared
+                        // table the mapper used; compiled once per
+                        // topology, reused by every later request that
+                        // probes the same candidate.
+                        let plan = tc
+                            .plan
+                            .get_or_insert_with(|| {
+                                Arc::new(RoutePlan::synthetic(&tc.graph, &mut tc.table, &config))
+                            })
+                            .clone();
+                        let stats = SimSession::builder(&tc.graph)
+                            .config(config)
+                            .plan(plan)
+                            .build()
+                            .run_synthetic(&probe.pattern, probe.rate);
                         (cand, stats)
                     })
                     .collect();
@@ -836,7 +845,7 @@ pub fn execute(
                              \"analytical_latency_cycles\":{},\"latency_drift\":{}}}",
                             i + 1,
                             json_string(topos[*cand].graph.kind().name()),
-                            json_string(req.engine.resolve(probe.rate).name()),
+                            json_string(probe_engine_label(req.engine, probe.rate)),
                             stats_json_fields(stats),
                             json_number(analytical),
                             json_number(drift),

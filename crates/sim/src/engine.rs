@@ -1,40 +1,23 @@
-//! The flat, allocation-free cycle engine.
+//! Engine selection, simulator parameters and the compiled route plans
+//! the cycle engines run on.
 //!
-//! A simulated cycle is a tight scan over dense arrays:
+//! [`SimEngine`] names the engine a [`SimSession`](crate::SimSession)
+//! drives and [`SimConfig`] carries the timing model. The rest of this
+//! module is the data layout of the event-driven engine:
 //!
-//! * **flits are `Copy` records** (40 bytes: route id, hop index,
-//!   packet id, next-edge demand, timestamps, flags) instead of heap
-//!   nodes holding an `Rc<[NodeId]>` path — the per-edge ring-buffer
-//!   slab is the flit pool, indexed by `edge × slot`;
-//! * **per-edge input buffers are ring buffers** carved out of one
-//!   dense `Vec<Flit>` with `head`/`len` arrays, not
-//!   `Vec<VecDeque<Flit>>`;
+//! * **flits are `Copy` records** (`Flit`, 40 bytes: route id, hop
+//!   index, packet id, next-edge demand, timestamps, flags) instead of
+//!   heap nodes holding an `Rc<[NodeId]>` path — the per-edge
+//!   ring-buffer slab is the flit pool, indexed by `edge × slot`;
 //! * **routes are resolved once per pair** through the mapper's
 //!   [`RouteTable`] and compiled into a [`RoutePlan`] — a flat arena of
 //!   per-hop records with the edge id, the bubble-rule space
 //!   requirement and the arrival-latency increment precomputed, so the
 //!   arbitration loop never touches the graph, never recomputes a turn
 //!   axis and never hashes a pair key.
-//!
-//! The engine is behaviorally identical to the original implementation
-//! (kept as [`crate::reference`]): same RNG consumption order, same
-//! index-ordered arbitration, same timing — for any seed the
-//! [`LatencyStats`] match bit for bit. `tests/flat_equivalence.rs`
-//! enforces this across topologies, patterns, rates and configs, and
-//! `tests/regression_fixtures.rs` pins values captured from the
-//! pre-rebuild engine.
 
-use std::collections::VecDeque;
-use std::sync::Arc;
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use crate::LatencyStats;
 use sunmap_mapping::{Evaluation, RouteTable, RoutingFunction};
 use sunmap_topology::{EdgeId, NodeCoords, NodeId, NodeKind, TopologyGraph, TopologyKind};
-use sunmap_traffic::patterns::TrafficPattern;
-use sunmap_traffic::CoreGraph;
 
 /// Per-pair cap on enumerated minimum paths for synthetic routing on
 /// indirect topologies (the adaptive-routing fan-out of paper §6.2).
@@ -42,33 +25,27 @@ pub const SIM_PATH_CAP: usize = 8;
 
 /// Which cycle engine a [`SimSession`](crate::SimSession) drives.
 ///
-/// Every engine produces **bit-identical** [`LatencyStats`] for the
-/// same seed — `tests/flat_equivalence.rs` proves the three-way
-/// equivalence (reference == flat == event-driven) across topologies,
-/// patterns, rates and trace mode — so the choice is purely about
-/// speed:
+/// There are two engines. `auto`, `flat` and `event` all name the
+/// event-driven engine, which keeps active sets of the edges with
+/// queued head flits plus an event wheel for in-flight hop
+/// completions, so a cycle with `k` active elements costs `O(k)`.
+/// `reference` names the original pre-rebuild implementation
+/// ([`crate::reference`]), kept as the behavioral oracle: slow, useful
+/// for differential debugging only. Both produce **bit-identical**
+/// [`LatencyStats`](crate::LatencyStats) for the same seed —
+/// `tests/flat_equivalence.rs` proves it across topologies, patterns,
+/// rates and trace mode.
 ///
-/// * [`Flat`](SimEngine::Flat) scans every edge's dense state each
-///   cycle; fastest at medium-to-high load, but per-cycle cost grows
-///   with topology size even when the network is nearly idle.
-/// * [`EventDriven`](SimEngine::EventDriven) maintains active sets of
-///   edges with queued head flits plus an event wheel for in-flight
-///   hop completions, so a cycle with `k` active elements costs
-///   `O(k)` instead of `O(V + E)` — the low-load / large-network
-///   engine.
-/// * [`Reference`](SimEngine::Reference) is the original pre-rebuild
-///   implementation ([`crate::reference`]), kept as the behavioral
-///   oracle. Slow; useful for differential debugging only.
-/// * [`Auto`](SimEngine::Auto) (the default) picks per run: the
-///   event-driven engine below
-///   [`AUTO_EVENT_MAX_LOAD`](SimEngine::AUTO_EVENT_MAX_LOAD) offered
-///   flits/cycle/terminal, the flat engine at or above it.
+/// The enum keeps every historical spelling as its own variant, so a
+/// manifest, request or serve log that names one parses and re-renders
+/// byte for byte.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SimEngine {
-    /// Pick per run by offered load (see the type-level docs).
+    /// The default spelling of the event-driven engine.
     #[default]
     Auto,
-    /// The flat dense-scan engine ([`NocSimulator`]).
+    /// A legacy spelling of the event-driven engine (it once named a
+    /// separate dense-scan engine).
     Flat,
     /// The active-set + event-wheel engine.
     EventDriven,
@@ -77,27 +54,13 @@ pub enum SimEngine {
 }
 
 impl SimEngine {
-    /// Offered load (flits/cycle/terminal) below which [`Auto`]
-    /// resolves to the event-driven engine. At 0.15 and above, enough
-    /// edges hold flits each cycle that the flat engine's dense scan
-    /// wins back its simplicity.
-    ///
-    /// [`Auto`]: SimEngine::Auto
-    pub const AUTO_EVENT_MAX_LOAD: f64 = 0.15;
-
-    /// Resolves `Auto` against an offered load (the injection rate in
-    /// synthetic mode, the trace intensity in trace mode); the three
-    /// concrete engines return themselves.
-    pub fn resolve(self, load: f64) -> SimEngine {
+    /// The engine a spelling runs: [`Reference`](SimEngine::Reference)
+    /// for itself, [`EventDriven`](SimEngine::EventDriven) for every
+    /// other spelling.
+    pub fn resolve(self) -> SimEngine {
         match self {
-            SimEngine::Auto => {
-                if load < Self::AUTO_EVENT_MAX_LOAD {
-                    SimEngine::EventDriven
-                } else {
-                    SimEngine::Flat
-                }
-            }
-            other => other,
+            SimEngine::Reference => SimEngine::Reference,
+            _ => SimEngine::EventDriven,
         }
     }
 
@@ -119,20 +82,6 @@ impl SimEngine {
             SimEngine::Flat => "flat",
             SimEngine::EventDriven => "event",
             SimEngine::Reference => "reference",
-        }
-    }
-
-    /// Route-plan layout class: the flat and event-driven engines (and
-    /// `Auto`, which only ever resolves to one of them) share the
-    /// compiled [`RoutePlan`] arena byte for byte, so they form one
-    /// class; the reference engine resolves routes live and never
-    /// consumes a plan, so a plan compiled under it must not be
-    /// silently reused by the indexed engines (see
-    /// [`RoutePlan::compatible`]).
-    pub(crate) fn plan_class(self) -> u8 {
-        match self {
-            SimEngine::Auto | SimEngine::Flat | SimEngine::EventDriven => 0,
-            SimEngine::Reference => 1,
         }
     }
 }
@@ -157,8 +106,9 @@ pub struct SimConfig {
     pub drain_cycles: u64,
     /// RNG seed (simulations are deterministic per seed).
     pub seed: u64,
-    /// Which cycle engine runs the simulation. Purely a speed knob:
-    /// every engine is bit-identical for the same seed.
+    /// Which cycle engine runs the simulation. Every engine is
+    /// bit-identical for the same seed, so this only picks between the
+    /// fast engine and the oracle.
     pub engine: SimEngine,
 }
 
@@ -267,28 +217,6 @@ pub(crate) struct RouteArena {
     pub(crate) routes: Vec<RouteSpan>,
 }
 
-/// Hot per-node simulator state (see the `nodes` field docs).
-#[derive(Debug, Clone, Copy)]
-struct NodeState {
-    /// Wanted-edge bitmap by `edge_local` position: bit set when some
-    /// queued head flit (ready *or* still pending) wants that outgoing
-    /// edge. In steady state most switches hold *some* flit, so a busy
-    /// count alone filters little — the bitmap dismisses an unwanted
-    /// edge with one test. Pending heads keep their bit set (they will
-    /// become eligible by time alone, with no event to hook); the
-    /// readiness timestamp is checked in the arbitration scan.
-    mask: u64,
-    /// Nonempty queues (injection or buffer) at this node; the
-    /// transfer scan skips every edge whose source node counts zero.
-    /// Pure bookkeeping: skipped edges could not have moved a flit,
-    /// so arbitration order is unchanged.
-    busy: u32,
-}
-
-impl NodeState {
-    const EMPTY: NodeState = NodeState { mask: 0, busy: 0 };
-}
-
 /// FNV-1a hash of a graph's directed edge list, capacities included
 /// (the same identity check the mapper's `RouteTable` uses).
 fn edge_fingerprint(g: &TopologyGraph) -> u64 {
@@ -376,7 +304,7 @@ impl RouteArena {
 
 /// The compiled per-pair routes of one topology under one simulator
 /// configuration: built once (through the mapper's [`RouteTable`]) and
-/// shareable across simulators — the sweep driver builds one plan per
+/// shareable across sessions — the sweep driver builds one plan per
 /// topology and hands clones of the `Arc` to every rate worker.
 #[derive(Debug)]
 pub struct RoutePlan {
@@ -398,9 +326,6 @@ pub struct RoutePlan {
     pub(crate) direct: bool,
     packet_flits: usize,
     switch_pipeline: u64,
-    /// Layout class of the engine this plan was compiled under (see
-    /// [`SimEngine::plan_class`]).
-    engine_class: u8,
 }
 
 impl RoutePlan {
@@ -454,7 +379,6 @@ impl RoutePlan {
             direct,
             packet_flits: config.packet_flits,
             switch_pipeline: config.switch_pipeline,
-            engine_class: config.engine.plan_class(),
         }
     }
 
@@ -502,7 +426,6 @@ impl RoutePlan {
             direct: g.kind().is_direct(),
             packet_flits: config.packet_flits,
             switch_pipeline: config.switch_pipeline,
-            engine_class: config.engine.plan_class(),
         };
         (plan, traces)
     }
@@ -516,24 +439,17 @@ impl RoutePlan {
     }
 
     /// The FNV-1a fingerprint of the edge list this plan was compiled
-    /// for, folded with the engine layout class where the class affects
-    /// plan layout. For every plan the indexed engines (`Auto`, `Flat`,
-    /// `EventDriven`) compile, the class term is zero and the value
-    /// equals the mapper `RouteTable::fingerprint` of the same graph,
-    /// so warm caches can key tables and plans together; a plan
-    /// compiled under the reference engine hashes differently and can
-    /// never collide into an indexed-engine cache slot.
+    /// for. It equals the mapper `RouteTable::fingerprint` of the same
+    /// graph, so warm caches can key tables and plans together.
     pub fn fingerprint(&self) -> u64 {
-        self.edge_fingerprint ^ (u64::from(self.engine_class) * 0x9E37_79B9_7F4A_7C15)
+        self.edge_fingerprint
     }
 
     /// Whether this plan was compiled for `g` under `config`: same
     /// topology kind, shape, directed edge list (endpoints and
-    /// capacities, order-sensitive), timing-relevant parameters and
-    /// engine layout class — a plan compiled under one engine class is
-    /// never silently reused by another (the indexed engines `Auto`,
-    /// `Flat` and `EventDriven` share one class and one arena layout;
-    /// the reference engine is its own class).
+    /// capacities, order-sensitive) and timing-relevant parameters.
+    /// The engine choice plays no part: a plan's contents do not
+    /// depend on it.
     pub fn compatible(&self, g: &TopologyGraph, config: &SimConfig) -> bool {
         self.kind == g.kind()
             && self.terminal_count == g.mappable_nodes().len()
@@ -541,7 +457,6 @@ impl RoutePlan {
             && self.edge_fingerprint == edge_fingerprint(g)
             && self.packet_flits == config.packet_flits
             && self.switch_pipeline == config.switch_pipeline
-            && self.engine_class == config.engine.plan_class()
     }
 }
 
@@ -555,699 +470,37 @@ pub(crate) struct Trace {
     pub(crate) routes: Vec<(u32, f64)>,
 }
 
-/// The flit-level simulator. Create one per run; it borrows the
-/// topology graph and owns all queues.
-///
-/// See the [crate documentation](crate) for the model and an example.
-#[derive(Debug)]
-pub struct NocSimulator<'a> {
-    graph: &'a TopologyGraph,
-    config: SimConfig,
-    rng: SmallRng,
-    terminals: Vec<NodeId>,
-    /// Cached synthetic route plan (built on first use, or supplied).
-    plan: Option<Arc<RoutePlan>>,
-
-    // Static per-graph arrays.
-    /// Source node index per edge.
-    edge_src: Vec<u32>,
-    /// Destination node index per edge.
-    edge_dst: Vec<u32>,
-    /// Node index of each terminal.
-    term_node: Vec<u32>,
-    /// Whether each edge is a network link (for utilisation stats).
-    edge_is_net: Vec<bool>,
-    /// Flattened candidate-source lists per node: sources
-    /// `ns_items[ns_offsets[v]..ns_offsets[v+1]]` compete for outputs
-    /// of node `v`. Encoded: `< terminal_count` = injection queue,
-    /// otherwise `item - terminal_count` = edge buffer.
-    ns_offsets: Vec<u32>,
-    ns_items: Vec<u32>,
-
-    // Ring buffers: one slab, `cap` slots per edge.
-    cap: u32,
-    ring_slots: Vec<Flit>,
-    ring_head: Vec<u32>,
-    ring_len: Vec<u32>,
-    /// Denormalised head-flit metadata per ring (valid when
-    /// `ring_len > 0`, maintained on every head change): the head's
-    /// `ready_at` and whether it is at its final node. The per-cycle
-    /// eject scan reads only these dense arrays and touches the flit
-    /// slab just to pop.
-    ring_ready: Vec<u64>,
-    ring_final: Vec<bool>,
-
-    /// Injection queue per terminal (unbounded; flits are `Copy`, the
-    /// deques are reused across runs without reallocating).
-    inject: Vec<VecDeque<Flit>>,
-    /// Wormhole output allocation per edge (`NO_OWNER` = free).
-    owner: Vec<u32>,
-    /// Round-robin pointer per edge.
-    rr: Vec<u32>,
-    /// Per-source "released a flit this cycle" flags (terminals then
-    /// edges).
-    source_moved: Vec<bool>,
-    /// Hot per-node state, one record per node so the transfer loop's
-    /// per-edge fast path touches a single cache line.
-    nodes: Vec<NodeState>,
-    /// Denormalised head-flit mirror per source, aligned with
-    /// `ns_items`: the edge the head wants (`NO_EDGE` = empty source
-    /// or a flit at its final node), its packet id, space requirement,
-    /// readiness timestamp and wanted-edge mask bit. Updated
-    /// **synchronously at every queue-head change** (pop, eject, push
-    /// onto an empty queue), so the entries always equal what the
-    /// reference engine would read live from the heads — there is no
-    /// staleness window, and the per-edge arbitration scan compares
-    /// plain integers. Sources that already released a flit this cycle
-    /// are excluded via `source_moved`.
-    want_edge: Vec<u32>,
-    want_packet: Vec<u32>,
-    want_required: Vec<u32>,
-    want_ready: Vec<u64>,
-    want_bit: Vec<u64>,
-    /// Source id → its slot in `ns_items` (each source appears once).
-    source_slot: Vec<u32>,
-    /// Position of each edge within its source node's outgoing list
-    /// (`u8::MAX` when beyond the 64 mask bits — such nodes fall back
-    /// to always scanning).
-    edge_local: Vec<u8>,
-
-    next_packet: u32,
-    now: u64,
-    latencies: Vec<u64>,
-    offered: usize,
-    /// Flits transferred per edge during the measurement window.
-    edge_flits: Vec<u64>,
-    /// Injected-but-not-ejected flits; lets the drain loop stop early
-    /// once the network is empty (no observable effect on statistics).
-    in_flight: u64,
-}
-
-impl<'a> NocSimulator<'a> {
-    /// Creates a simulator over `graph` with terminals at its mappable
-    /// nodes. The synthetic route plan is compiled on first use.
-    ///
-    /// Deprecated: build a [`SimSession`](crate::SimSession) instead —
-    /// it sets engine selection, plan reuse and trace mode in one
-    /// place. This constructor always runs the flat engine, ignoring
-    /// [`SimConfig::engine`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a `SimSession` (`SimSession::builder(graph).config(config).build()`); \
-                this constructor always runs the flat engine, ignoring `SimConfig::engine`"
-    )]
-    pub fn new(graph: &'a TopologyGraph, config: SimConfig) -> Self {
-        Self::build(graph, config, None)
-    }
-
-    /// Creates a simulator reusing a precompiled route `plan`.
-    ///
-    /// Deprecated: build a [`SimSession`](crate::SimSession) with
-    /// [`plan`](crate::SimSessionBuilder::plan) instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` is not [`compatible`](RoutePlan::compatible)
-    /// with `graph` and `config`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a `SimSession` (`SimSession::builder(graph).config(config).plan(plan).build()`); \
-                this constructor always runs the flat engine, ignoring `SimConfig::engine`"
-    )]
-    pub fn with_plan(graph: &'a TopologyGraph, config: SimConfig, plan: Arc<RoutePlan>) -> Self {
-        assert!(
-            plan.compatible(graph, &config),
-            "route plan compiled for a different graph or configuration"
-        );
-        Self::build(graph, config, Some(plan))
-    }
-
-    pub(crate) fn build(
-        graph: &'a TopologyGraph,
-        config: SimConfig,
-        plan: Option<Arc<RoutePlan>>,
-    ) -> Self {
-        let terminals = graph.mappable_nodes().to_vec();
-        let terms = terminals.len();
-        let edge_count = graph.edge_count();
-        // Candidate sources per node, in the reference order: injection
-        // queues first (terminal order), then input buffers (edge
-        // order).
-        let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); graph.node_count()];
-        for (i, t) in terminals.iter().enumerate() {
-            per_node[t.index()].push(i as u32);
-        }
-        let mut edge_src = vec![0u32; edge_count];
-        let mut edge_dst = vec![0u32; edge_count];
-        let mut edge_is_net = vec![false; edge_count];
-        for (eid, edge) in graph.edges() {
-            per_node[edge.dst.index()].push((terms + eid.index()) as u32);
-            edge_src[eid.index()] = edge.src.index() as u32;
-            edge_dst[eid.index()] = edge.dst.index() as u32;
-            edge_is_net[eid.index()] = edge.is_network_link();
-        }
-        let term_node: Vec<u32> = terminals.iter().map(|t| t.index() as u32).collect();
-        let mut out_degree_so_far = vec![0usize; graph.node_count()];
-        let mut edge_local = vec![u8::MAX; edge_count];
-        for (eid, edge) in graph.edges() {
-            let pos = out_degree_so_far[edge.src.index()];
-            out_degree_so_far[edge.src.index()] += 1;
-            if pos < 64 {
-                edge_local[eid.index()] = pos as u8;
-            }
-        }
-        let mut ns_offsets = Vec::with_capacity(graph.node_count() + 1);
-        let mut ns_items = Vec::new();
-        ns_offsets.push(0u32);
-        for list in &per_node {
-            ns_items.extend_from_slice(list);
-            ns_offsets.push(ns_items.len() as u32);
-        }
-        let mut source_slot = vec![0u32; terms + edge_count];
-        for (k, &s) in ns_items.iter().enumerate() {
-            source_slot[s as usize] = k as u32;
-        }
-        let cap = (config.buffer_depth * config.packet_flits) as u32;
-        NocSimulator {
-            graph,
-            rng: SmallRng::seed_from_u64(config.seed),
-            terminals,
-            plan,
-            edge_src,
-            edge_dst,
-            term_node,
-            edge_is_net,
-            ns_offsets,
-            ns_items,
-            cap,
-            ring_slots: vec![Flit::EMPTY; edge_count * cap as usize],
-            ring_head: vec![0; edge_count],
-            ring_len: vec![0; edge_count],
-            ring_ready: vec![0; edge_count],
-            ring_final: vec![false; edge_count],
-            inject: (0..terms).map(|_| VecDeque::new()).collect(),
-            owner: vec![NO_OWNER; edge_count],
-            rr: vec![0; edge_count],
-            source_moved: vec![false; terms + edge_count],
-            nodes: vec![NodeState::EMPTY; graph.node_count()],
-            want_edge: vec![NO_EDGE; terms + edge_count],
-            want_packet: vec![0; terms + edge_count],
-            want_required: vec![1; terms + edge_count],
-            want_ready: vec![0; terms + edge_count],
-            want_bit: vec![0; terms + edge_count],
-            source_slot,
-            edge_local,
-            next_packet: 0,
-            now: 0,
-            latencies: Vec::new(),
-            offered: 0,
-            edge_flits: vec![0; edge_count],
-            in_flight: 0,
-            config,
-        }
-    }
-
-    /// Number of terminals (injection points).
-    pub fn terminal_count(&self) -> usize {
-        self.terminals.len()
-    }
-
-    /// The synthetic route plan, compiling it on first use.
-    fn synthetic_plan(&mut self) -> Arc<RoutePlan> {
-        if self.plan.is_none() {
-            let mut table = RouteTable::new(self.graph);
-            self.plan = Some(Arc::new(RoutePlan::synthetic(
-                self.graph,
-                &mut table,
-                &self.config,
-            )));
-        }
-        self.plan.as_ref().expect("plan just built").clone()
-    }
-
-    /// Runs a synthetic-traffic simulation: every terminal injects
-    /// packets as a Bernoulli process of `injection_rate` flits per
-    /// cycle, destinations drawn from `pattern`, routes drawn uniformly
-    /// from the minimum paths.
-    pub fn run_synthetic(&mut self, pattern: &TrafficPattern, injection_rate: f64) -> LatencyStats {
-        let plan = self.synthetic_plan();
-        self.reset();
-        let n = self.terminals.len();
-        let packet_prob = (injection_rate / self.config.packet_flits as f64).clamp(0.0, 1.0);
-        let total =
-            self.config.warmup_cycles + self.config.measure_cycles + self.config.drain_cycles;
-        let inject_until = self.config.warmup_cycles + self.config.measure_cycles;
-        while self.now < total {
-            self.eject();
-            if self.now < inject_until {
-                for t in 0..n {
-                    if self.rng.gen_bool(packet_prob) {
-                        let Some(dst) = pattern.destination(t, n, &mut self.rng) else {
-                            continue;
-                        };
-                        let ids = plan.routes_for(t, dst);
-                        if ids.is_empty() {
-                            continue;
-                        }
-                        let rid = if plan.direct {
-                            ids[0]
-                        } else {
-                            ids[self.rng.gen_range(0..ids.len())]
-                        };
-                        self.inject_packet(t, rid, &plan);
-                    }
-                }
-            } else if self.in_flight == 0 {
-                // Injection is over and the network is drained: the
-                // remaining cycles cannot change any statistic.
-                break;
-            }
-            self.transfer(&plan);
-            self.now += 1;
-        }
-        self.stats()
-    }
-
-    /// Runs a trace-driven simulation of a mapped application: each
-    /// commodity injects packets at a rate proportional to its bandwidth
-    /// demand, scaled so the heaviest commodity injects `intensity`
-    /// flits per cycle, over the paths the mapping evaluation selected.
-    pub fn run_trace(
-        &mut self,
-        eval: &Evaluation,
-        app: &CoreGraph,
-        intensity: f64,
-    ) -> LatencyStats {
-        let (plan, mut traces) = RoutePlan::trace(self.graph, &self.config, eval);
-        let plan = Arc::new(plan);
-        let max_bw = app
-            .commodities()
-            .first()
-            .map(|c| c.bandwidth)
-            .unwrap_or(1.0);
-        for tr in &mut traces {
-            tr.packet_prob = (intensity * tr.bandwidth / max_bw / self.config.packet_flits as f64)
-                .clamp(0.0, 1.0);
-        }
-        self.reset();
-        let total =
-            self.config.warmup_cycles + self.config.measure_cycles + self.config.drain_cycles;
-        let inject_until = self.config.warmup_cycles + self.config.measure_cycles;
-        while self.now < total {
-            self.eject();
-            if self.now < inject_until {
-                for tr in &traces {
-                    if self.rng.gen_bool(tr.packet_prob) {
-                        let pick: f64 = self.rng.gen_range(0.0..1.0);
-                        let mut acc = 0.0;
-                        let mut chosen = tr.routes.last().expect("commodity has a route").0;
-                        for &(rid, f) in &tr.routes {
-                            acc += f;
-                            if pick <= acc {
-                                chosen = rid;
-                                break;
-                            }
-                        }
-                        self.inject_packet(tr.terminal, chosen, &plan);
-                    }
-                }
-            } else if self.in_flight == 0 {
-                break;
-            }
-            self.transfer(&plan);
-            self.now += 1;
-        }
-        self.stats()
-    }
-
-    fn reset(&mut self) {
-        self.ring_head.fill(0);
-        self.ring_len.fill(0);
-        for q in &mut self.inject {
-            q.clear();
-        }
-        self.owner.fill(NO_OWNER);
-        self.rr.fill(0);
-        self.nodes.fill(NodeState::EMPTY);
-        self.want_edge.fill(NO_EDGE);
-        self.want_bit.fill(0);
-        self.next_packet = 0;
-        self.now = 0;
-        self.latencies.clear();
-        self.offered = 0;
-        self.edge_flits.fill(0);
-        self.in_flight = 0;
-        self.rng = SmallRng::seed_from_u64(self.config.seed);
-    }
-
-    fn inject_packet(&mut self, terminal: usize, route: u32, plan: &RoutePlan) {
-        let measured = self.now >= self.config.warmup_cycles
-            && self.now < self.config.warmup_cycles + self.config.measure_cycles;
-        if measured {
-            self.offered += 1;
-        }
-        let packet = self.next_packet;
-        self.next_packet += 1;
-        // The head flit pays the source-switch pipeline before it can
-        // leave (injection goes through the local switch for direct
-        // topologies; core ports are plain wires).
-        let ready_at = if plan.arena.routes[route as usize].start_at_switch {
-            self.now + self.config.switch_pipeline
-        } else {
-            self.now
-        };
-        let pf = self.config.packet_flits;
-        let base = if measured { F_MEASURED } else { 0 };
-        let fresh_head = self.inject[terminal].is_empty();
-        if fresh_head {
-            self.nodes[self.term_node[terminal] as usize].busy += 1;
-        }
-        let span = plan.arena.routes[route as usize];
-        let (next_edge, head_space) = if span.step_count == 0 {
-            (NO_EDGE, 1)
-        } else {
-            let step = plan.arena.steps[span.first_step as usize];
-            (step.edge, step.head_space)
-        };
-        for i in 0..pf {
-            let mut flags = base;
-            let mut required = 1;
-            if i == 0 {
-                flags |= F_HEAD;
-                required = head_space;
-            }
-            if i + 1 == pf {
-                flags |= F_TAIL;
-            }
-            self.inject[terminal].push_back(Flit {
-                ready_at,
-                inject_cycle: self.now,
-                route,
-                packet,
-                next_edge,
-                required,
-                hop: 0,
-                flags,
-            });
-        }
-        self.in_flight += pf as u64;
-        if fresh_head {
-            self.update_source_desire(terminal as u32, self.term_node[terminal] as usize);
-        }
-    }
-
-    /// The head flit of encoded source `s`, if any.
-    #[inline]
-    fn source_head(&self, s: u32) -> Option<&Flit> {
-        let s = s as usize;
-        let terms = self.terminals.len();
-        if s < terms {
-            self.inject[s].front()
-        } else {
-            let b = s - terms;
-            if self.ring_len[b] == 0 {
-                None
-            } else {
-                Some(&self.ring_slots[b * self.cap as usize + self.ring_head[b] as usize])
-            }
-        }
-    }
-
-    /// Mirrors source `s`'s (possibly new) head flit into its desire
-    /// entry and refolds `node`'s wanted-edge bitmap from its sources'
-    /// cached bits. Called at every queue-head change, so the entries
-    /// always match a live read of the heads.
-    fn update_source_desire(&mut self, s: u32, node: usize) {
-        let k = self.source_slot[s as usize] as usize;
-        match self.source_head(s).copied() {
-            Some(head) => {
-                self.want_edge[k] = head.next_edge;
-                self.want_packet[k] = head.packet;
-                self.want_required[k] = head.required;
-                self.want_ready[k] = head.ready_at;
-                self.want_bit[k] = if head.next_edge == NO_EDGE {
-                    0
-                } else {
-                    // A flit at this node always wants one of the
-                    // node's outgoing edges.
-                    let l = self.edge_local[head.next_edge as usize];
-                    if l < 64 {
-                        1u64 << l
-                    } else {
-                        u64::MAX
-                    }
-                };
-            }
-            None => {
-                self.want_edge[k] = NO_EDGE;
-                self.want_bit[k] = 0;
-            }
-        }
-        let s0 = self.ns_offsets[node] as usize;
-        let s1 = self.ns_offsets[node + 1] as usize;
-        let mut mask = 0u64;
-        for kk in s0..s1 {
-            mask |= self.want_bit[kk];
-        }
-        self.nodes[node].mask = mask;
-    }
-
-    fn pop_source(&mut self, s: u32) -> Flit {
-        let s = s as usize;
-        let terms = self.terminals.len();
-        if s < terms {
-            let node = self.term_node[s] as usize;
-            let flit = self.inject[s].pop_front().expect("candidate head exists");
-            if self.inject[s].is_empty() {
-                self.nodes[node].busy -= 1;
-            }
-            self.update_source_desire(s as u32, node);
-            flit
-        } else {
-            let b = s - terms;
-            let node = self.edge_dst[b] as usize;
-            let cap = self.cap;
-            let flit = self.ring_slots[b * cap as usize + self.ring_head[b] as usize];
-            self.ring_head[b] = (self.ring_head[b] + 1) % cap;
-            self.ring_len[b] -= 1;
-            if self.ring_len[b] == 0 {
-                self.nodes[node].busy -= 1;
-            } else {
-                self.sync_ring_head(b);
-            }
-            self.update_source_desire((terms + b) as u32, node);
-            flit
-        }
-    }
-
-    /// Refreshes the denormalised head metadata of ring `b` (which must
-    /// be nonempty).
-    #[inline]
-    fn sync_ring_head(&mut self, b: usize) {
-        let head = &self.ring_slots[b * self.cap as usize + self.ring_head[b] as usize];
-        self.ring_ready[b] = head.ready_at;
-        self.ring_final[b] = head.next_edge == NO_EDGE;
-    }
-
-    fn eject(&mut self) {
-        if self.in_flight == 0 {
-            return;
-        }
-        let cap = self.cap as usize;
-        for e in 0..self.ring_len.len() {
-            // Dense-array pre-check; the flit slab is only touched for
-            // an actual ejection.
-            if self.ring_len[e] == 0 || !self.ring_final[e] || self.ring_ready[e] > self.now {
-                continue;
-            }
-            let head = self.ring_slots[e * cap + self.ring_head[e] as usize];
-            self.ring_head[e] = (self.ring_head[e] + 1) % self.cap;
-            self.ring_len[e] -= 1;
-            let node = self.edge_dst[e] as usize;
-            if self.ring_len[e] == 0 {
-                self.nodes[node].busy -= 1;
-            } else {
-                self.sync_ring_head(e);
-            }
-            self.update_source_desire((self.terminals.len() + e) as u32, node);
-            self.in_flight -= 1;
-            if head.flags & F_TAIL != 0 && head.flags & F_MEASURED != 0 {
-                self.latencies.push(self.now - head.inject_cycle);
-            }
-        }
-    }
-
-    fn transfer(&mut self, plan: &RoutePlan) {
-        // One flit per edge per cycle; a source queue also releases at
-        // most one flit per cycle. Virtual cut-through with bubble flow
-        // control (see HopStep::head_space).
-        if self.in_flight == 0 {
-            return;
-        }
-        self.source_moved.fill(false);
-        let measure_window = self.now >= self.config.warmup_cycles
-            && self.now < self.config.warmup_cycles + self.config.measure_cycles;
-        for e in 0..self.edge_src.len() {
-            let node = self.edge_src[e] as usize;
-            let state = self.nodes[node];
-            // No queue at the source node holds a flit: nothing could
-            // cross this edge, skip the arbitration scan entirely.
-            // (busy > 0 implies the node has sources.)
-            if state.busy == 0 {
-                continue;
-            }
-            // No queued head (ready or pending) wants this edge: one
-            // bit test instead of a source scan.
-            let l = self.edge_local[e];
-            let wanted = if l < 64 {
-                state.mask & (1u64 << l) != 0
-            } else {
-                state.mask == u64::MAX
-            };
-            if !wanted {
-                continue;
-            }
-            let free = self.cap - self.ring_len[e];
-            if free == 0 {
-                continue;
-            }
-            let s0 = self.ns_offsets[node] as usize;
-            let s1 = self.ns_offsets[node + 1] as usize;
-            let n_src = s1 - s0;
-            let eu = e as u32;
-            let eligible = |sim: &Self, k: usize| -> bool {
-                sim.want_edge[k] == eu
-                    && sim.want_ready[k] <= sim.now
-                    && free >= sim.want_required[k]
-                    && !sim.source_moved[sim.ns_items[k] as usize]
-            };
-            let chosen = if self.owner[e] != NO_OWNER {
-                let pid = self.owner[e];
-                (s0..s1).find(|&k| self.want_packet[k] == pid && eligible(self, k))
-            } else {
-                let start = self.rr[e] as usize % n_src;
-                // Circular scan from `start` without a per-step modulo
-                // (start + j stays below 2·n_src, one conditional
-                // subtract wraps it).
-                (0..n_src)
-                    .map(|j| {
-                        let mut k = start + j;
-                        if k >= n_src {
-                            k -= n_src;
-                        }
-                        s0 + k
-                    })
-                    .find(|&k| eligible(self, k))
-            };
-            let Some(k) = chosen else { continue };
-            let src_slot = self.ns_items[k];
-            let mut flit = self.pop_source(src_slot);
-            self.source_moved[src_slot as usize] = true;
-            if measure_window {
-                self.edge_flits[e] += 1;
-            }
-            self.rr[e] = self.rr[e].wrapping_add(1);
-            let is_tail = flit.flags & F_TAIL != 0;
-            self.owner[e] = if is_tail { NO_OWNER } else { flit.packet };
-            let route = plan.arena.routes[flit.route as usize];
-            let step = plan.arena.steps[route.first_step as usize + flit.hop as usize];
-            flit.hop += 1;
-            // A flit reaching its destination core port leaves the
-            // network right here: the egress attach link is an NI wire,
-            // not a buffered channel.
-            if u32::from(flit.hop) == u32::from(route.step_count) && step.eject_at_dst {
-                self.in_flight -= 1;
-                if is_tail && flit.flags & F_MEASURED != 0 {
-                    self.latencies.push(self.now - flit.inject_cycle);
-                }
-                continue;
-            }
-            if u32::from(flit.hop) < u32::from(route.step_count) {
-                let next = plan.arena.steps[route.first_step as usize + flit.hop as usize];
-                flit.next_edge = next.edge;
-                flit.required = if flit.flags & F_HEAD != 0 {
-                    next.head_space
-                } else {
-                    1
-                };
-            } else {
-                flit.next_edge = NO_EDGE;
-            }
-            flit.ready_at = self.now + step.ready_add;
-            let cap = self.cap;
-            let idx = e * cap as usize + ((self.ring_head[e] + self.ring_len[e]) % cap) as usize;
-            self.ring_slots[idx] = flit;
-            let was_empty = self.ring_len[e] == 0;
-            self.ring_len[e] += 1;
-            if was_empty {
-                let dst = self.edge_dst[e] as usize;
-                self.nodes[dst].busy += 1;
-                self.ring_ready[e] = flit.ready_at;
-                self.ring_final[e] = flit.next_edge == NO_EDGE;
-                // The ring gained a head flit mid-cycle; with a
-                // zero-cycle arrival increment it can already be
-                // eligible at a later edge this same cycle, exactly
-                // like the reference engine's live head reads.
-                self.update_source_desire((self.terminals.len() + e) as u32, dst);
-            }
-        }
-    }
-
-    fn stats(&self) -> LatencyStats {
-        let delivered = self.latencies.len();
-        let avg = if delivered == 0 {
-            0.0
-        } else {
-            self.latencies.iter().sum::<u64>() as f64 / delivered as f64
-        };
-        let window = self.config.measure_cycles.max(1) as f64;
-        let mut max_util = 0.0f64;
-        let mut util_sum = 0.0f64;
-        let mut network_edges = 0usize;
-        for e in 0..self.edge_flits.len() {
-            if !self.edge_is_net[e] {
-                continue;
-            }
-            let util = self.edge_flits[e] as f64 / window;
-            max_util = max_util.max(util);
-            util_sum += util;
-            network_edges += 1;
-        }
-        LatencyStats {
-            avg_latency: avg,
-            max_latency: self.latencies.iter().copied().max().unwrap_or(0),
-            packets_offered: self.offered,
-            packets_delivered: delivered,
-            throughput: delivered as f64 * self.config.packet_flits as f64
-                / (self.config.measure_cycles as f64 * self.terminals.len().max(1) as f64),
-            measured_cycles: self.config.measure_cycles,
-            max_link_utilization: max_util,
-            mean_link_utilization: if network_edges > 0 {
-                util_sum / network_edges as f64
-            } else {
-                0.0
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    // These unit tests pin the flat engine through its direct
-    // constructors on purpose; engine selection is covered by
-    // `session::tests` and the three-way equivalence suite.
-    #![allow(deprecated)]
+    // These tests drive the default configuration (the `auto` spelling)
+    // through `SimSession`; `tests/event_determinism.rs` pins the
+    // `event` spelling and `tests/flat_equivalence.rs` the oracle.
+
+    use std::sync::Arc;
 
     use super::*;
+    use crate::{LatencyStats, SimSession};
     use sunmap_mapping::{Mapper, MapperConfig};
     use sunmap_topology::builders;
     use sunmap_traffic::benchmarks;
+    use sunmap_traffic::patterns::TrafficPattern;
+
+    fn run(
+        g: &TopologyGraph,
+        config: SimConfig,
+        pattern: TrafficPattern,
+        rate: f64,
+    ) -> LatencyStats {
+        SimSession::builder(g)
+            .config(config)
+            .build()
+            .run_synthetic(&pattern, rate)
+    }
 
     #[test]
     fn zero_rate_delivers_nothing() {
         let g = builders::mesh(3, 3, 500.0).unwrap();
-        let mut sim = NocSimulator::new(&g, SimConfig::fast());
-        let stats = sim.run_synthetic(&TrafficPattern::UniformRandom, 0.0);
+        let stats = run(&g, SimConfig::fast(), TrafficPattern::UniformRandom, 0.0);
         assert_eq!(stats.packets_offered, 0);
         assert_eq!(stats.packets_delivered, 0);
     }
@@ -1255,8 +508,7 @@ mod tests {
     #[test]
     fn low_load_delivers_everything() {
         let g = builders::mesh(3, 3, 500.0).unwrap();
-        let mut sim = NocSimulator::new(&g, SimConfig::fast());
-        let stats = sim.run_synthetic(&TrafficPattern::UniformRandom, 0.02);
+        let stats = run(&g, SimConfig::fast(), TrafficPattern::UniformRandom, 0.02);
         assert!(stats.packets_offered > 0);
         assert!(
             stats.delivery_ratio() > 0.99,
@@ -1271,9 +523,9 @@ mod tests {
     #[test]
     fn latency_rises_with_load() {
         let g = builders::mesh(4, 4, 500.0).unwrap();
-        let mut sim = NocSimulator::new(&g, SimConfig::fast());
-        let low = sim.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
-        let high = sim.run_synthetic(&TrafficPattern::UniformRandom, 0.35);
+        let mut session = SimSession::builder(&g).config(SimConfig::fast()).build();
+        let low = session.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
+        let high = session.run_synthetic(&TrafficPattern::UniformRandom, 0.35);
         assert!(
             high.avg_latency > low.avg_latency,
             "high {high} vs low {low}"
@@ -1283,15 +535,14 @@ mod tests {
     #[test]
     fn same_seed_runs_are_bit_identical() {
         // The determinism regression test: two same-seed runs on one
-        // simulator (plan cached) and on a fresh simulator must agree
+        // session (plan cached) and on a fresh session must agree
         // exactly. Everything in the engine is index-ordered; nothing
         // iterates a hash map.
         let g = builders::torus(3, 3, 500.0).unwrap();
-        let mut sim = NocSimulator::new(&g, SimConfig::fast());
-        let a = sim.run_synthetic(&TrafficPattern::Tornado, 0.1);
-        let b = sim.run_synthetic(&TrafficPattern::Tornado, 0.1);
-        let mut fresh = NocSimulator::new(&g, SimConfig::fast());
-        let c = fresh.run_synthetic(&TrafficPattern::Tornado, 0.1);
+        let mut session = SimSession::builder(&g).config(SimConfig::fast()).build();
+        let a = session.run_synthetic(&TrafficPattern::Tornado, 0.1);
+        let b = session.run_synthetic(&TrafficPattern::Tornado, 0.1);
+        let c = run(&g, SimConfig::fast(), TrafficPattern::Tornado, 0.1);
         assert_eq!(a, b);
         assert_eq!(a, c);
     }
@@ -1304,8 +555,10 @@ mod tests {
             .run()
             .unwrap();
         let run = || {
-            let mut sim = NocSimulator::new(&g, SimConfig::fast());
-            sim.run_trace(mapping.evaluation(), &app, 0.3)
+            SimSession::builder(&g)
+                .config(SimConfig::fast())
+                .build()
+                .run_trace(mapping.evaluation(), &app, 0.3)
         };
         assert_eq!(run(), run());
     }
@@ -1314,11 +567,9 @@ mod tests {
     fn different_seeds_differ() {
         let g = builders::mesh(3, 3, 500.0).unwrap();
         let mut cfg = SimConfig::fast();
-        let mut sim = NocSimulator::new(&g, cfg);
-        let a = sim.run_synthetic(&TrafficPattern::UniformRandom, 0.1);
+        let a = run(&g, cfg, TrafficPattern::UniformRandom, 0.1);
         cfg.seed = 7;
-        let mut sim = NocSimulator::new(&g, cfg);
-        let b = sim.run_synthetic(&TrafficPattern::UniformRandom, 0.1);
+        let b = run(&g, cfg, TrafficPattern::UniformRandom, 0.1);
         assert_ne!(a, b);
     }
 
@@ -1328,9 +579,9 @@ mod tests {
             builders::butterfly(4, 2, 500.0).unwrap(),
             builders::clos(4, 4, 4, 500.0).unwrap(),
         ] {
-            let mut sim = NocSimulator::new(&g, SimConfig::fast());
-            assert_eq!(sim.terminal_count(), 16);
-            let stats = sim.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
+            let mut session = SimSession::builder(&g).config(SimConfig::fast()).build();
+            assert_eq!(session.terminal_count(), 16);
+            let stats = session.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
             assert!(stats.packets_delivered > 0, "{}: {stats}", g.kind());
         }
     }
@@ -1342,8 +593,10 @@ mod tests {
         let mapping = Mapper::new(&g, &app, MapperConfig::default())
             .run()
             .unwrap();
-        let mut sim = NocSimulator::new(&g, SimConfig::fast());
-        let stats = sim.run_trace(mapping.evaluation(), &app, 0.2);
+        let stats = SimSession::builder(&g)
+            .config(SimConfig::fast())
+            .build()
+            .run_trace(mapping.evaluation(), &app, 0.2);
         assert!(stats.packets_delivered > 0);
         assert!(stats.avg_latency > 0.0);
     }
@@ -1351,8 +604,7 @@ mod tests {
     #[test]
     fn saturation_shows_undelivered_backlog() {
         let g = builders::mesh(3, 3, 500.0).unwrap();
-        let mut sim = NocSimulator::new(&g, SimConfig::fast());
-        let stats = sim.run_synthetic(&TrafficPattern::BitComplement, 0.9);
+        let stats = run(&g, SimConfig::fast(), TrafficPattern::BitComplement, 0.9);
         assert!(
             stats.saturated() || stats.avg_latency > 50.0,
             "bit-complement at 0.9 flits/cy should swamp a 3x3 mesh: {stats}"
@@ -1365,12 +617,12 @@ mod tests {
         let config = SimConfig::fast();
         let mut table = RouteTable::new(&g);
         let plan = Arc::new(RoutePlan::synthetic(&g, &mut table, &config));
-        let mut shared = NocSimulator::with_plan(&g, config, plan);
-        let mut owned = NocSimulator::new(&g, config);
-        assert_eq!(
-            shared.run_synthetic(&TrafficPattern::Transpose, 0.2),
-            owned.run_synthetic(&TrafficPattern::Transpose, 0.2),
-        );
+        let shared = SimSession::builder(&g)
+            .config(config)
+            .plan(plan)
+            .build()
+            .run_synthetic(&TrafficPattern::Transpose, 0.2);
+        assert_eq!(shared, run(&g, config, TrafficPattern::Transpose, 0.2));
     }
 
     #[test]
@@ -1381,7 +633,7 @@ mod tests {
         let config = SimConfig::fast();
         let mut table = RouteTable::new(&a);
         let plan = Arc::new(RoutePlan::synthetic(&a, &mut table, &config));
-        let _ = NocSimulator::with_plan(&b, config, plan);
+        let _ = SimSession::builder(&b).config(config).plan(plan).build();
     }
 
     #[test]
@@ -1405,5 +657,15 @@ mod tests {
             ..config
         };
         assert!(!plan.compatible(&a, &other));
+        // The engine choice is not: one plan serves every spelling,
+        // and its fingerprint is the plain edge fingerprint.
+        for engine in [
+            SimEngine::Flat,
+            SimEngine::EventDriven,
+            SimEngine::Reference,
+        ] {
+            assert!(plan.compatible(&a, &SimConfig { engine, ..config }));
+        }
+        assert_eq!(plan.fingerprint(), table.fingerprint());
     }
 }

@@ -1,19 +1,16 @@
 //! The event-driven active-set cycle engine.
 //!
-//! The flat engine ([`crate::engine`]) visits every edge's dense state
-//! each cycle, so a cycle costs `O(V + E)` even when one flit is in
-//! flight — exactly the regime that dominates the paper's Fig. 8(b)
-//! curves (most of the x-axis is low load) and any 256+-core grid.
-//! This engine makes a cycle cost `O(k)` in the number of active
-//! elements instead:
+//! A cycle costs `O(k)` in the number of active elements, not
+//! `O(V + E)`: most of the paper's Fig. 8(b) x-axis is low load, where
+//! almost every edge of a 256+-core grid idles. Two structures make
+//! that possible:
 //!
 //! * **active sets** ([`ActiveSet`], a two-level dense bitset iterated
 //!   in ascending index order) track the edges with at least one
 //!   *ready* queued head flit wanting them, and the rings whose head
 //!   flit is final and ready to eject. Both sets are maintained
-//!   incrementally at every enqueue, dequeue and head change — the
-//!   event-driven extension of the flat engine's denormalised
-//!   head-flit mirror;
+//!   incrementally at every enqueue, dequeue and head change, from a
+//!   denormalised per-source mirror of each queue's head flit;
 //! * an **event wheel** ([`WheelEvent`]) wakes the bookkeeping for
 //!   in-flight hop completions: a head flit whose `ready_at` is still
 //!   in the future is *not* kept in any scanned set — a wheel slot
@@ -22,31 +19,30 @@
 //!   increment exceeds `switch_pipeline + 1` cycles.
 //!
 //! Tie-breaking and arbitration order are **bit-identical** to the
-//! flat engine: both transfer and eject walk their sets in ascending
-//! edge-id order (the order the flat engine's `for e in 0..edges`
-//! scans impose), the per-edge round-robin/owner arbitration is the
-//! same code shape, and the RNG is consumed in exactly the same order
-//! (the per-terminal injection loop is untouched — it is inherently
-//! `O(terminals)` and identical across all three engines). Mid-cycle
-//! activations are preserved too: the set iterator re-reads live words
-//! after each element, so a ring that gains its first flit while edge
-//! `e` transfers can make a later edge `e' > e` eligible in the same
-//! cycle, exactly like the flat engine's live head reads.
+//! [`reference`](crate::reference) oracle: transfer and eject walk
+//! their sets in ascending edge-id order (the order the oracle visits
+//! edges in), each edge arbitrates by owner first, then round-robin
+//! over its node's sources (injection queues in terminal order, then
+//! input buffers in edge order), and the RNG is consumed in exactly
+//! the oracle's order (the per-terminal injection loop is inherently
+//! `O(terminals)`). Mid-cycle activations are preserved too: the set
+//! iterator re-reads live words after each element, so a ring that
+//! gains its first flit while edge `e` transfers can make a later edge
+//! `e' > e` eligible in the same cycle.
 //!
-//! `tests/flat_equivalence.rs` enforces the three-way equivalence
-//! (reference == flat == event) across topologies, patterns, rates and
-//! trace mode; `tests/regression_fixtures.rs` replays the pinned
-//! fixtures through this engine bit for bit.
+//! `tests/flat_equivalence.rs` enforces the equivalence with the
+//! oracle across topologies, patterns, rates and trace mode;
+//! `tests/regression_fixtures.rs` replays the pinned fixtures through
+//! this engine bit for bit.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{Flit, RoutePlan, SimConfig, F_HEAD, F_MEASURED, F_TAIL, NO_EDGE, NO_OWNER};
 use crate::LatencyStats;
-use sunmap_mapping::{Evaluation, RouteTable};
+use sunmap_mapping::Evaluation;
 use sunmap_topology::{NodeId, TopologyGraph};
 use sunmap_traffic::patterns::TrafficPattern;
 use sunmap_traffic::CoreGraph;
@@ -94,7 +90,8 @@ impl ActiveSet {
 
     /// Smallest set element `>= from`, reading the live words — an
     /// element inserted mid-iteration at a position above the cursor
-    /// is observed, matching the flat engine's in-cycle activations.
+    /// is observed, so an edge activated mid-cycle above the cursor
+    /// still arbitrates this cycle.
     #[inline]
     fn first_at_least(&self, from: usize) -> Option<usize> {
         let nw = self.words.len();
@@ -150,12 +147,16 @@ pub(crate) struct EventSimulator<'a> {
     config: SimConfig,
     rng: SmallRng,
     terminals: Vec<NodeId>,
-    plan: Option<Arc<RoutePlan>>,
 
-    // Static per-graph arrays (the flat engine's layout; no per-node
-    // busy/mask state — the active sets replace it).
+    // Static per-graph arrays.
+    /// Source node index per edge.
     edge_src: Vec<u32>,
+    /// Whether each edge is a network link (for utilisation stats).
     edge_is_net: Vec<bool>,
+    /// Flattened candidate-source lists per node: sources
+    /// `ns_items[ns_offsets[v]..ns_offsets[v+1]]` compete for outputs
+    /// of node `v`. Encoded: `< terminal_count` = injection queue,
+    /// otherwise `item - terminal_count` = edge buffer.
     ns_offsets: Vec<u32>,
     ns_items: Vec<u32>,
 
@@ -164,22 +165,38 @@ pub(crate) struct EventSimulator<'a> {
     ring_slots: Vec<Flit>,
     ring_head: Vec<u32>,
     ring_len: Vec<u32>,
+    /// Denormalised head-flit metadata per ring (valid when
+    /// `ring_len > 0`, maintained on every head change): the head's
+    /// `ready_at` and whether it is at its final node.
     ring_ready: Vec<u64>,
     ring_final: Vec<bool>,
 
+    /// Injection queue per terminal (unbounded; flits are `Copy`, the
+    /// deques are reused across runs without reallocating).
     inject: Vec<VecDeque<Flit>>,
+    /// Wormhole output allocation per edge (`NO_OWNER` = free).
     owner: Vec<u32>,
+    /// Round-robin pointer per edge.
     rr: Vec<u32>,
+    /// Per-source "released a flit this cycle" flags (terminals then
+    /// edges).
     source_moved: Vec<bool>,
     /// Sources flagged in `source_moved` this cycle, so clearing the
     /// flags costs O(moved) instead of an O(sources) fill.
     moved_log: Vec<u32>,
 
-    // Denormalised head-flit mirror per source (flat-engine twin).
+    /// Denormalised head-flit mirror per source, aligned with
+    /// `ns_items`: the edge the head wants (`NO_EDGE` = empty source
+    /// or a flit at its final node), its packet id, space requirement
+    /// and readiness timestamp. Updated synchronously at every
+    /// queue-head change (pop, eject, push onto an empty queue), so the
+    /// entries always equal a live read of the heads and the per-edge
+    /// arbitration compares plain integers.
     want_edge: Vec<u32>,
     want_packet: Vec<u32>,
     want_required: Vec<u32>,
     want_ready: Vec<u64>,
+    /// Source id → its slot in `ns_items` (each source appears once).
     source_slot: Vec<u32>,
 
     // Event-driven state.
@@ -214,14 +231,13 @@ pub(crate) struct EventSimulator<'a> {
 }
 
 impl<'a> EventSimulator<'a> {
-    pub(crate) fn build(
-        graph: &'a TopologyGraph,
-        config: SimConfig,
-        plan: Option<Arc<RoutePlan>>,
-    ) -> Self {
+    pub(crate) fn build(graph: &'a TopologyGraph, config: SimConfig) -> Self {
         let terminals = graph.mappable_nodes().to_vec();
         let terms = terminals.len();
         let edge_count = graph.edge_count();
+        // Candidate sources per node, in the oracle's order: injection
+        // queues first (terminal order), then input buffers (edge
+        // order).
         let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); graph.node_count()];
         for (i, t) in terminals.iter().enumerate() {
             per_node[t.index()].push(i as u32);
@@ -250,7 +266,6 @@ impl<'a> EventSimulator<'a> {
             graph,
             rng: SmallRng::seed_from_u64(config.seed),
             terminals,
-            plan,
             edge_src,
             edge_is_net,
             ns_offsets,
@@ -288,27 +303,15 @@ impl<'a> EventSimulator<'a> {
         }
     }
 
-    /// The synthetic route plan, compiling it on first use.
-    fn synthetic_plan(&mut self) -> Arc<RoutePlan> {
-        if self.plan.is_none() {
-            let mut table = RouteTable::new(self.graph);
-            self.plan = Some(Arc::new(RoutePlan::synthetic(
-                self.graph,
-                &mut table,
-                &self.config,
-            )));
-        }
-        self.plan.as_ref().expect("plan just built").clone()
-    }
-
-    /// Runs a synthetic-traffic simulation; same contract — and same
-    /// RNG consumption order — as the flat engine's `run_synthetic`.
+    /// Runs a synthetic-traffic simulation over the compiled `plan`
+    /// (see [`SimSession::run_synthetic`](crate::SimSession::run_synthetic)
+    /// for the traffic model).
     pub(crate) fn run_synthetic(
         &mut self,
+        plan: &RoutePlan,
         pattern: &TrafficPattern,
         injection_rate: f64,
     ) -> LatencyStats {
-        let plan = self.synthetic_plan();
         self.reset();
         let n = self.terminals.len();
         let packet_prob = (injection_rate / self.config.packet_flits as f64).clamp(0.0, 1.0);
@@ -333,20 +336,23 @@ impl<'a> EventSimulator<'a> {
                         } else {
                             ids[self.rng.gen_range(0..ids.len())]
                         };
-                        self.inject_packet(t, rid, &plan);
+                        self.inject_packet(t, rid, plan);
                     }
                 }
             } else if self.in_flight == 0 {
+                // Injection is over and the network is drained: the
+                // remaining cycles cannot change any statistic.
                 break;
             }
-            self.transfer(&plan);
+            self.transfer(plan);
             self.now += 1;
         }
         self.stats()
     }
 
-    /// Runs a trace-driven simulation; same contract as the flat
-    /// engine's `run_trace`.
+    /// Runs a trace-driven simulation (see
+    /// [`SimSession::run_trace`](crate::SimSession::run_trace) for the
+    /// traffic model).
     pub(crate) fn run_trace(
         &mut self,
         eval: &Evaluation,
@@ -354,7 +360,6 @@ impl<'a> EventSimulator<'a> {
         intensity: f64,
     ) -> LatencyStats {
         let (plan, mut traces) = RoutePlan::trace(self.graph, &self.config, eval);
-        let plan = Arc::new(plan);
         let max_bw = app
             .commodities()
             .first()
@@ -438,8 +443,7 @@ impl<'a> EventSimulator<'a> {
 
     /// Fires the events scheduled for this cycle, moving now-ready
     /// heads into the scanned sets. Runs before the eject phase so an
-    /// ejection becoming ready this cycle happens this cycle — exactly
-    /// when the flat engine's dense scan would have seen it.
+    /// ejection becoming ready this cycle happens this cycle.
     fn drain_wheel(&mut self) {
         let w = (self.now % self.wheel.len() as u64) as usize;
         if self.wheel[w].is_empty() {
@@ -496,6 +500,9 @@ impl<'a> EventSimulator<'a> {
         }
         let packet = self.next_packet;
         self.next_packet += 1;
+        // The head flit pays the source-switch pipeline before it can
+        // leave (injection goes through the local switch for direct
+        // topologies; core ports are plain wires).
         let ready_at = if plan.arena.routes[route as usize].start_at_switch {
             self.now + self.config.switch_pipeline
         } else {
@@ -559,8 +566,8 @@ impl<'a> EventSimulator<'a> {
     /// entry, retiring the old head's active-set contribution and
     /// either counting the new head immediately (ready) or scheduling
     /// its readiness on the wheel (pending). Called at every
-    /// queue-head change, so the sets always match what the flat
-    /// engine's per-node bitmap would report.
+    /// queue-head change, so the sets always match a live read of the
+    /// heads.
     fn update_source_desire(&mut self, s: u32) {
         let k = self.source_slot[s as usize] as usize;
         self.desire_gen[k] = self.desire_gen[k].wrapping_add(1);
@@ -652,8 +659,7 @@ impl<'a> EventSimulator<'a> {
     }
 
     /// Ejects every ready final head, walking only the rings in the
-    /// eject set — ascending edge order, one pop per ring per cycle,
-    /// identical to the flat engine's dense scan.
+    /// eject set — ascending edge order, one pop per ring per cycle.
     fn eject(&mut self) {
         if self.in_flight == 0 {
             return;
@@ -680,15 +686,17 @@ impl<'a> EventSimulator<'a> {
                 self.latencies.push(self.now - head.inject_cycle);
             }
             // Advance strictly past `e`: a new final-and-ready head on
-            // this ring keeps its bit but must wait for next cycle's
-            // scan, matching the flat engine's single pass.
+            // this ring keeps its bit but waits for next cycle's scan
+            // (one pop per ring per cycle).
             next = self.eject_ready.first_at_least(e + 1);
         }
     }
 
     /// Transfers at most one flit per active edge, walking only the
-    /// edges with a ready wanting head — ascending edge order with the
-    /// flat engine's exact owner/round-robin arbitration.
+    /// edges with a ready wanting head in ascending edge order. One
+    /// flit per edge per cycle; a source queue also releases at most
+    /// one flit per cycle. Virtual cut-through with bubble flow control
+    /// (see `HopStep::head_space`).
     fn transfer(&mut self, plan: &RoutePlan) {
         if self.in_flight == 0 {
             return;
@@ -722,6 +730,9 @@ impl<'a> EventSimulator<'a> {
                 (s0..s1).find(|&k| self.want_packet[k] == pid && eligible(self, k))
             } else {
                 let start = self.rr[e] as usize % n_src;
+                // Circular scan from `start` without a per-step modulo
+                // (start + j stays below 2·n_src, one conditional
+                // subtract wraps it).
                 (0..n_src)
                     .map(|j| {
                         let mut k = start + j;
@@ -749,6 +760,9 @@ impl<'a> EventSimulator<'a> {
             let route = plan.arena.routes[flit.route as usize];
             let step = plan.arena.steps[route.first_step as usize + flit.hop as usize];
             flit.hop += 1;
+            // A flit reaching its destination core port leaves the
+            // network right here: the egress attach link is an NI wire,
+            // not a buffered channel.
             if u32::from(flit.hop) == u32::from(route.step_count) && step.eject_at_dst {
                 self.in_flight -= 1;
                 if is_tail && flit.flags & F_MEASURED != 0 {
@@ -778,8 +792,7 @@ impl<'a> EventSimulator<'a> {
                 // The ring gained a head flit mid-cycle; with a
                 // zero-cycle arrival increment it can already be
                 // eligible at a later edge this same cycle — the live
-                // set re-read below observes the activation, exactly
-                // like the flat engine's dense scan.
+                // set re-read below observes the activation.
                 self.sync_ring_head(e);
                 self.update_source_desire((self.terminals.len() + e) as u32);
             }

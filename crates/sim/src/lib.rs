@@ -25,20 +25,20 @@
 //! window, reproducing the latency-versus-injection-rate methodology of
 //! paper Fig. 8(b) and the per-topology latency bars of Fig. 10(c).
 //!
-//! Three interchangeable engines share the model, selected through
-//! [`SimEngine`] on [`SimConfig`] and driven through a [`SimSession`]:
-//! the flat-array engine of [`engine`] (`Copy` flits in dense per-edge
-//! ring buffers, per-pair routes compiled once — through the mapper's
-//! [`RouteTable`](sunmap_mapping::RouteTable) — into a shareable
-//! [`RoutePlan`]), the event-driven active-set engine (`O(k)` per
-//! cycle in the number of active elements — the low-load /
-//! large-network engine), and the pre-rebuild [`reference`](mod@reference)
-//! engine, the behavioral oracle the three-way equivalence tests and
-//! the `sim_speed` bench compare against. All three are bit-identical
-//! per seed; simulations are deterministic (everything is
-//! index-ordered; no hash-map iteration anywhere), and [`sweep`] fans
-//! rate×topology grids out across scoped threads with bit-identical
-//! results at any worker count.
+//! Two engines share the model, selected through [`SimEngine`] on
+//! [`SimConfig`] and driven through a [`SimSession`]. The event-driven
+//! active-set engine is the only fast engine: `Copy` flits in dense
+//! per-edge ring buffers, per-pair routes compiled once — through the
+//! mapper's [`RouteTable`](sunmap_mapping::RouteTable) — into a
+//! shareable [`RoutePlan`], and a cycle cost of `O(k)` in the number
+//! of active elements. The spellings `auto`, `flat` and `event` all
+//! select it. The pre-rebuild [`reference`](mod@reference) engine is
+//! the behavioral oracle the equivalence tests and the `sim_speed`
+//! bench compare against. The two are bit-identical per seed;
+//! simulations are deterministic (everything is index-ordered; no
+//! hash-map iteration anywhere), and [`sweep`] fans rate×topology
+//! grids out across scoped threads with bit-identical results at any
+//! worker count.
 //!
 //! # Examples
 //!
@@ -48,8 +48,8 @@
 //! use sunmap_traffic::patterns::TrafficPattern;
 //!
 //! let mesh = builders::mesh(4, 4, 500.0)?;
-//! // SimConfig::default() selects SimEngine::Auto: event-driven at
-//! // this low load, flat once the offered load crosses the threshold.
+//! // SimConfig::default() selects SimEngine::Auto, the event-driven
+//! // engine, at every load.
 //! let mut session = SimSession::builder(&mesh).config(SimConfig::fast()).build();
 //! let stats = session.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
 //! assert!(stats.packets_delivered > 0);
@@ -64,7 +64,7 @@ mod session;
 mod stats;
 pub mod sweep;
 
-pub use engine::{NocSimulator, RoutePlan, SimConfig, SimEngine, SIM_PATH_CAP};
+pub use engine::{RoutePlan, SimConfig, SimEngine, SIM_PATH_CAP};
 pub use session::{SimSession, SimSessionBuilder};
 pub use stats::LatencyStats;
 pub use sweep::{adversarial_sweep, injection_sweep, SweepPoint, SweepRequest};

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use crate::engine::{RoutePlan, SimConfig, SimEngine};
+use crate::engine::{RoutePlan, SimConfig};
 use crate::session::SimSession;
 use crate::{adversarial_pattern, LatencyStats};
 use sunmap_mapping::RouteTable;
@@ -68,15 +68,12 @@ pub fn injection_sweep(
     workers: usize,
 ) -> Vec<SweepPoint> {
     // Compile each topology's route plan once, up front (cheap next to
-    // the simulations, and shared by every rate worker). The reference
-    // engine resolves routes live and never consumes a plan.
-    let plans: Vec<Option<Arc<RoutePlan>>> = requests
+    // the simulations, and shared by every rate worker).
+    let plans: Vec<Arc<RoutePlan>> = requests
         .iter()
         .map(|r| {
-            (config.engine != SimEngine::Reference).then(|| {
-                let mut table = RouteTable::new(r.graph);
-                Arc::new(RoutePlan::synthetic(r.graph, &mut table, &config))
-            })
+            let mut table = RouteTable::new(r.graph);
+            Arc::new(RoutePlan::synthetic(r.graph, &mut table, &config))
         })
         .collect();
     let jobs: Vec<(usize, usize)> = (0..requests.len())
@@ -85,11 +82,10 @@ pub fn injection_sweep(
     let workers = effective_workers(workers, jobs.len());
     let run_job = |&(g, r): &(usize, usize)| -> SweepPoint {
         let req = &requests[g];
-        let mut builder = SimSession::builder(req.graph).config(config);
-        if let Some(plan) = &plans[g] {
-            builder = builder.plan(plan.clone());
-        }
-        let mut sim = builder.build();
+        let mut sim = SimSession::builder(req.graph)
+            .config(config)
+            .plan(plans[g].clone())
+            .build();
         let stats = sim.run_synthetic(&req.pattern, rates[r]);
         SweepPoint {
             topology: req.graph.kind(),

@@ -1,7 +1,7 @@
 //! Old-path regression fixtures: `LatencyStats` values captured from
-//! the pre-rebuild engine (the `Rc`-path implementation this PR
-//! replaced), hardcoded here. The flat AND event-driven engines must
-//! reproduce every field bit for bit — this guards both rebuilds
+//! the pre-rebuild engine (the `Rc`-path implementation kept as
+//! `sunmap_sim::reference`), hardcoded here. The event-driven engine
+//! must reproduce every field bit for bit — this guards the rebuild
 //! against behavioral drift even if `reference` itself is ever touched.
 //!
 //! All fixtures use `SimConfig::fast()` (seed 42) unless noted.
@@ -16,11 +16,7 @@ use sunmap_traffic::CoreGraph;
 /// The engines the fixtures pin. `Reference` is the source the values
 /// were captured from; it is re-checked too, so a fixture mismatch
 /// distinguishes "reference drifted" from "rebuild drifted".
-const ENGINES: [SimEngine; 3] = [
-    SimEngine::Reference,
-    SimEngine::Flat,
-    SimEngine::EventDriven,
-];
+const ENGINES: [SimEngine; 2] = [SimEngine::Reference, SimEngine::EventDriven];
 
 #[allow(clippy::too_many_arguments)]
 fn stats(
@@ -260,8 +256,8 @@ fn non_default_config_fixture() {
 }
 
 /// Event-engine trace fixtures for the four seed applications, captured
-/// from the event engine itself (and cross-checked against reference ==
-/// flat by `flat_equivalence.rs`). These pin the event engine's output
+/// from the event engine itself (and cross-checked against the
+/// reference engine by `flat_equivalence.rs`). These pin the event engine's output
 /// directly, so a wheel/active-set regression cannot hide behind an
 /// equally wrong oracle comparison.
 #[test]
