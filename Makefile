@@ -10,7 +10,7 @@ CARGO ?= cargo
 BENCH_SMOKE_JSONL := target/bench-smoke.jsonl
 BENCH_RESULTS := target/BENCH_results.json
 
-.PHONY: all build test bench bench-run bench-smoke perfbench-check batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv doc lint fmt ci clean
+.PHONY: all build test bench bench-run bench-smoke perfbench-check perfbench-verify batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv doc lint fmt ci clean
 
 all: build
 
@@ -50,6 +50,24 @@ bench-smoke:
 perfbench-check:
 	$(CARGO) build --release --locked --manifest-path perfbench/Cargo.toml \
 		--target-dir target/perfbench
+
+## Run every benchmark workload once, traced, at seed 1 for one second,
+## and fail unless its result line reports "correct":true — that is,
+## every report digest and per-topology count it captured matches
+## perfbench/expected/. Compiling the benchmark proves little about a
+## change to the code it measures; this proves the measured code still
+## produces the same bytes.
+PERFBENCH_WORKLOADS := explore-strict explore-relaxed serve-mixed sim-ladder
+perfbench-verify:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-verify: $$w"; \
+		line=$$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+			--workload $$w --seed 1 --seconds 1 --trace 1 | tail -n 1); \
+		case "$$line" in \
+			*'"correct":true'*) ;; \
+			*) echo "perfbench-verify: $$w is not correct: $$line"; exit 1 ;; \
+		esac; \
+	done
 
 ## Smoke-run the batch exploration engine end-to-end: the committed
 ## 20-job sample manifest (4 seed benchmarks + 16 synthetic workloads)
@@ -93,7 +111,7 @@ scale-smoke: build
 SIM_EQUIV_CASES ?= 4
 sim-equiv:
 	SIM_EQUIV_CASES=$(SIM_EQUIV_CASES) $(CARGO) test --locked -p sunmap-sim \
-		--test flat_equivalence -- --nocapture
+		--test engine_equivalence -- --nocapture
 
 ## Deep-run the route-table preparation equivalence suite (lazy ==
 ## closed-form == eager, bit for bit). TABLE_EQUIV_CASES=N soaks N
@@ -127,7 +145,7 @@ fmt:
 	$(CARGO) fmt --all
 
 ## Everything CI gates on, in CI's order.
-ci: lint build test doc bench bench-smoke perfbench-check batch-smoke serve-smoke shard-smoke scale-smoke
+ci: lint build test doc bench bench-smoke perfbench-check perfbench-verify batch-smoke serve-smoke shard-smoke scale-smoke
 
 clean:
 	$(CARGO) clean

@@ -7,7 +7,7 @@
 //! uniform traffic at 0.05 flits/cycle/terminal — plus a loaded torus,
 //! a trace-driven VOPD replay and a low-load tier on a 4×4 and a 16×16
 //! mesh. Both engines produce bit-identical `LatencyStats` (enforced
-//! by `crates/sim/tests/flat_equivalence.rs`), so every row here times
+//! by `crates/sim/tests/engine_equivalence.rs`), so every row here times
 //! the production of the same result.
 //!
 //! Two throughput metrics are reported, because they answer different

@@ -165,6 +165,9 @@ fn serve_daemon(cli: &Cli) -> CliResult {
 fn client(cli: &Cli, request: Option<ExploreRequest>) -> CliResult {
     let mut stream = TcpStream::connect(&cli.addr)
         .map_err(|e| format!("cannot connect to {}: {e}", cli.addr))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("cannot set TCP_NODELAY: {e}"))?;
     let frame = match (cli.client_op, &request) {
         (ClientOp::Explore, Some(req)) => {
             format!("{{\"op\":\"explore\",\"request\":{}}}", req.to_json())

@@ -254,6 +254,40 @@ fn table_prep_variants_share_bytes_and_split_the_cache_only_when_resolved_apart(
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// One frame of a mebibyte of `[` used to overflow the JSON reader's
+/// stack and abort the daemon. It must be answered with an error
+/// envelope, leave the connection and the daemon serving, and let the
+/// daemon drain cleanly afterwards.
+#[test]
+fn deeply_nested_frame_is_an_error_and_the_daemon_keeps_serving() {
+    let dir = temp_dir("sunmap_it_serve_nested");
+    fs::create_dir_all(&dir).unwrap();
+    let daemon = Daemon::spawn(&dir.join("requests.jsonl"));
+    let addr: &str = &daemon.addr.clone();
+
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    write_frame(&mut raw, &"[".repeat(1 << 20)).expect("frame sent");
+    let response = read_frame(&mut raw)
+        .expect("response readable")
+        .expect("the daemon answers");
+    let envelope = Parser::parse(&response).expect("error envelope parses");
+    assert_eq!(envelope.get("ok"), Some(&Json::Bool(false)), "{response}");
+    let error = envelope.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("nesting deeper than 128"), "{response}");
+
+    // Same connection, then a fresh one: the daemon still answers.
+    write_frame(&mut raw, "{\"op\":\"ping\"}").expect("ping sent");
+    let pong = read_frame(&mut raw).expect("pong readable").expect("pong");
+    assert!(pong.contains("\"op\":\"ping\""), "{pong}");
+    let pong = stdout_line(&["client", addr, "ping"]);
+    assert!(pong.contains("\"ok\":true"), "{pong}");
+
+    stdout_line(&["client", addr, "shutdown"]);
+    let dump = daemon.wait();
+    assert!(dump.contains("\"errors\":1"), "{dump}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn client_against_no_daemon_fails_cleanly() {
     // Port 9 (discard) is almost never listening; connect must fail

@@ -29,6 +29,12 @@ const STALL_CAP: u32 = 50;
 /// Writes one length-prefixed frame (client side and tests; the
 /// daemons use it too).
 ///
+/// The length prefix and the payload go out in a single write, so a
+/// socket never holds a lone 4-byte segment back waiting for the
+/// peer's delayed ACK (Nagle). Every socket the tool opens or accepts
+/// also sets `TCP_NODELAY`, so each frame leaves as soon as it is
+/// written.
+///
 /// # Errors
 ///
 /// Propagates socket errors; frames over [`MAX_FRAME_BYTES`] are
@@ -41,8 +47,10 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &str) -> io::Result<()> {
         ));
     }
     let len = u32::try_from(payload.len()).expect("bounded above");
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -175,6 +183,40 @@ mod tests {
         );
         assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some("second"));
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+    }
+
+    /// Counts `write` calls; accepts every byte it is offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, "{\"op\":\"ping\"}").unwrap();
+        assert_eq!(w.writes, 1, "prefix and payload must leave together");
+        write_frame(&mut w, "").unwrap();
+        assert_eq!(w.writes, 2);
+        let mut cursor = &w.bytes[..];
+        assert_eq!(
+            read_frame(&mut cursor).unwrap().as_deref(),
+            Some("{\"op\":\"ping\"}")
+        );
+        assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(""));
     }
 
     #[test]

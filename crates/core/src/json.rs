@@ -7,8 +7,53 @@
 //! pulling in a serialization dependency. It accepts standard JSON
 //! (RFC 8259) minus some exotica nothing here emits: no `\uXXXX`
 //! surrogate pairs, numbers via Rust's `f64` grammar.
+//!
+//! Arrays and objects may nest at most [`MAX_DEPTH`] deep. The reader
+//! is recursive, so without the limit one frame of `[` repeated a
+//! million times would overflow the stack and abort the whole daemon;
+//! with it, such input is a [`JsonError::TooDeep`] after at most
+//! [`MAX_DEPTH`] levels of recursion.
 
 use std::collections::BTreeMap;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. Nothing
+/// the tool writes nests more than a few levels.
+pub(crate) const MAX_DEPTH: usize = 128;
+
+/// Why a document did not parse.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum JsonError {
+    /// Malformed JSON; the message names the byte offset.
+    Syntax(String),
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`]; `at` is the byte
+    /// offset of the first bracket past the limit.
+    TooDeep { at: usize },
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::Syntax(message) => f.write_str(message),
+            JsonError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(message: String) -> Self {
+        JsonError::Syntax(message)
+    }
+}
+
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> Self {
+        e.to_string()
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,16 +68,22 @@ pub(crate) enum Json {
 
 impl Json {
     /// Parses one JSON document (surrounding whitespace allowed).
-    pub(crate) fn parse(text: &str) -> Result<Json, String> {
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError::TooDeep`] past [`MAX_DEPTH`] nested arrays/objects,
+    /// [`JsonError::Syntax`] for anything else malformed.
+    pub(crate) fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
-            return Err(format!("trailing characters at byte {}", p.pos));
+            return Err(format!("trailing characters at byte {}", p.pos).into());
         }
         Ok(value)
     }
@@ -65,6 +116,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -100,16 +153,27 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'n') => self.eat_word("null").map(|()| Json::Null),
-            Some(b't') => self.eat_word("true").map(|()| Json::Bool(true)),
-            Some(b'f') => self.eat_word("false").map(|()| Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("expected a JSON value at byte {}", self.pos)),
+            Some(b'n') => Ok(self.eat_word("null").map(|()| Json::Null)?),
+            Some(b't') => Ok(self.eat_word("true").map(|()| Json::Bool(true))?),
+            Some(b'f') => Ok(self.eat_word("false").map(|()| Json::Bool(false))?),
+            Some(b'"') => Ok(self.string().map(Json::String)?),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::TooDeep { at: self.pos });
+                }
+                self.depth += 1;
+                let container = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                container
+            }
+            Some(b'-' | b'0'..=b'9') => Ok(self.number()?),
+            _ => Err(format!("expected a JSON value at byte {}", self.pos).into()),
         }
     }
 
@@ -181,7 +245,7 @@ impl Parser<'_> {
             .map_err(|_| format!("'{text}' is not a number (byte {start})"))
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, JsonError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -199,12 +263,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Array(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos).into()),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, JsonError> {
         self.eat(b'{')?;
         let mut fields = BTreeMap::new();
         self.skip_ws();
@@ -227,7 +291,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Object(fields));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos).into()),
             }
         }
     }
@@ -270,6 +334,33 @@ mod tests {
                 "{emitted}"
             );
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Json::parse(&nested(MAX_DEPTH + 1)),
+            Err(JsonError::TooDeep { at: MAX_DEPTH })
+        );
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(
+            Json::parse(&objects),
+            Err(JsonError::TooDeep { at: 5 * MAX_DEPTH })
+        );
+    }
+
+    #[test]
+    fn a_mebibyte_of_open_brackets_is_an_error_not_a_stack_overflow() {
+        let hostile = "[".repeat(1 << 20);
+        let err = Json::parse(&hostile).expect_err("must not parse");
+        assert_eq!(err, JsonError::TooDeep { at: MAX_DEPTH });
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
     }
 
     #[test]

@@ -190,6 +190,7 @@ where
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+                    let _ = stream.set_nodelay(true);
                     if tx.send(stream).is_err() {
                         break;
                     }

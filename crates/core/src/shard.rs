@@ -1021,6 +1021,7 @@ where
                 let worker = next_worker;
                 next_worker += 1;
                 let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+                let _ = stream.set_nodelay(true);
                 match stream.try_clone() {
                     Ok(writer) => {
                         writers.insert(worker, writer);
@@ -1135,6 +1136,9 @@ pub fn run_worker(
     stream
         .set_read_timeout(Some(POLL_INTERVAL))
         .map_err(|e| format!("cannot arm read timeout: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("cannot set TCP_NODELAY: {e}"))?;
     let mut read_half = stream
         .try_clone()
         .map_err(|e| format!("cannot clone stream: {e}"))?;

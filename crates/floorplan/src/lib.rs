@@ -13,8 +13,16 @@
 //! Inputs are a [`RelativePlacement`]: blocks (cores and switches, each
 //! with an area and an aspect-ratio range for soft blocks) assigned to
 //! integer grid slots. Outputs are a [`Floorplan`] with exact positions
-//! and sizes, from which the mapping engine reads chip area, aspect
-//! ratio and link lengths.
+//! and sizes, from which chip area, aspect ratio and link lengths are
+//! read.
+//!
+//! The solve itself is [`GridGeometry::solve`]: a geometry-only pass
+//! over slot and [`BlockShape`] slices into reusable buffers, with no
+//! names and no allocation once the buffers have grown. The named
+//! [`RelativePlacement::floorplan`] validates its blocks, runs that same
+//! solve and then names the result; hot loops that floorplan thousands
+//! of candidates (the mapping engine's swap search) validate once and
+//! call the geometry solve directly.
 //!
 //! # Examples
 //!
@@ -32,7 +40,7 @@
 
 mod plan;
 
-pub use plan::{Floorplan, PlacedBlock};
+pub use plan::{Floorplan, GridGeometry, PlacedBlock};
 
 /// Identifier of a block inside a [`RelativePlacement`] / [`Floorplan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,6 +59,54 @@ impl std::fmt::Display for BlockId {
     }
 }
 
+/// The name-free shape of one block: everything the grid solve reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlockShape {
+    /// Block area in mm².
+    pub area: f64,
+    /// Minimum permissible width/height ratio.
+    pub min_aspect: f64,
+    /// Maximum permissible width/height ratio.
+    pub max_aspect: f64,
+}
+
+impl BlockShape {
+    /// A soft shape: the floorplanner may reshape it within the default
+    /// permissible aspect range `[1/3, 3]` of typical physical-design
+    /// practice.
+    pub fn soft(area: f64) -> Self {
+        BlockShape {
+            area,
+            min_aspect: 1.0 / 3.0,
+            max_aspect: 3.0,
+        }
+    }
+
+    /// A hard shape: fixed square.
+    pub fn hard(area: f64) -> Self {
+        BlockShape {
+            area,
+            min_aspect: 1.0,
+            max_aspect: 1.0,
+        }
+    }
+
+    /// Whether the area is positive and finite (otherwise
+    /// [`FloorplanError::InvalidArea`]).
+    pub fn area_is_valid(&self) -> bool {
+        self.area.is_finite() && self.area > 0.0
+    }
+
+    /// Whether the aspect range is finite, positive and non-empty
+    /// (otherwise [`FloorplanError::InvalidAspect`]).
+    pub fn aspect_is_valid(&self) -> bool {
+        self.min_aspect.is_finite()
+            && self.max_aspect.is_finite()
+            && self.min_aspect > 0.0
+            && self.min_aspect <= self.max_aspect
+    }
+}
+
 /// Geometry specification of one block (a core or a switch).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockSpec {
@@ -65,35 +121,45 @@ pub struct BlockSpec {
 }
 
 impl BlockSpec {
-    /// A soft block: the floorplanner may reshape it within the default
-    /// permissible aspect range `[1/3, 3]` of typical physical-design
-    /// practice.
+    /// A soft block with the default aspect range of
+    /// [`BlockShape::soft`].
     pub fn soft(name: impl Into<String>, area: f64) -> Self {
-        BlockSpec {
-            name: name.into(),
-            area,
-            min_aspect: 1.0 / 3.0,
-            max_aspect: 3.0,
-        }
+        BlockSpec::with_shape(name, BlockShape::soft(area))
     }
 
-    /// A hard block: fixed square shape.
+    /// A hard block: fixed square shape ([`BlockShape::hard`]).
     pub fn hard(name: impl Into<String>, area: f64) -> Self {
-        BlockSpec {
-            name: name.into(),
-            area,
-            min_aspect: 1.0,
-            max_aspect: 1.0,
-        }
+        BlockSpec::with_shape(name, BlockShape::hard(area))
     }
 
     /// A soft block with explicit aspect bounds.
     pub fn with_aspect(name: impl Into<String>, area: f64, min: f64, max: f64) -> Self {
+        BlockSpec::with_shape(
+            name,
+            BlockShape {
+                area,
+                min_aspect: min,
+                max_aspect: max,
+            },
+        )
+    }
+
+    /// A named block of the given shape.
+    pub fn with_shape(name: impl Into<String>, shape: BlockShape) -> Self {
         BlockSpec {
             name: name.into(),
-            area,
-            min_aspect: min,
-            max_aspect: max,
+            area: shape.area,
+            min_aspect: shape.min_aspect,
+            max_aspect: shape.max_aspect,
+        }
+    }
+
+    /// The block's shape without its name.
+    pub fn shape(&self) -> BlockShape {
+        BlockShape {
+            area: self.area,
+            min_aspect: self.min_aspect,
+            max_aspect: self.max_aspect,
         }
     }
 }
@@ -189,11 +255,8 @@ impl RelativePlacement {
         self.positions[id.index()]
     }
 
-    /// Solves for exact positions and sizes.
-    ///
-    /// Soft blocks start square and are then stretched vertically to
-    /// their row height (within their aspect range), which narrows them
-    /// and compacts the chip — a one-step version of the LP resizing.
+    /// Solves for exact positions and sizes: validates the blocks, runs
+    /// [`GridGeometry::solve`] and names the result.
     ///
     /// # Errors
     ///

@@ -49,10 +49,13 @@
 //!    other `|E_app|` commodities;
 //! 3. **load-dependent routing** (Dijkstra min-load `MP`, min-max
 //!    split `SM`/`SA`) falls back to a full evaluation, but one with an
-//!    **early-exit bound**: the floorplan is solved first, and after
-//!    every routed commodity the partial cost plus an optimistic bound
-//!    for the unrouted suffix is compared against the incumbent — the
-//!    evaluation is abandoned the moment it can no longer win.
+//!    **early-exit bound**: after every routed commodity the partial
+//!    cost plus an optimistic bound for the unrouted suffix is compared
+//!    against the incumbent — the evaluation is abandoned the moment it
+//!    can no longer win. The candidate is floorplanned before routing
+//!    only when that bound reads the floorplan (MinPower against a
+//!    feasible incumbent: link-length floors); otherwise only after it
+//!    survives routing, so abandoned candidates cost no floorplan.
 //!
 //! Pruning is *sound*, never heuristic: a swap is only abandoned when a
 //! margin-guarded lower bound proves it ranks strictly worse than an
@@ -67,12 +70,12 @@
 //! which keeps the pruning decisions (and therefore the evaluation
 //! counts) deterministic at any worker count.
 
+use crate::layout::{core_shape, LayoutTemplate};
 use crate::routing::{assign_chunks, DETOUR_SLACK, HOP_COST, MAX_SPLIT_PATHS, SPLIT_CHUNKS};
 use crate::{
-    layout_blocks, Constraints, CostReport, LayoutBlocks, MappingError, Objective, Placement,
-    RoutingFunction,
+    layout_blocks, Constraints, CostReport, MappingError, Objective, Placement, RoutingFunction,
 };
-use sunmap_floorplan::Floorplan;
+use sunmap_floorplan::{BlockShape, FloorplanError, GridGeometry};
 use sunmap_power::{switch_power_from_energy, AreaPowerLibrary, SwitchConfig};
 use sunmap_topology::paths::{AllowedSet, DijkstraScratch};
 use sunmap_topology::{
@@ -907,9 +910,11 @@ impl RouteTable {
 }
 
 /// Reusable per-worker buffers for one candidate evaluation. After the
-/// first use every steady-state evaluation routes its commodities
-/// without touching the allocator (the floorplan solve still builds its
-/// block list; see the crate README).
+/// first use every steady-state evaluation routes its commodities and
+/// floorplans the candidate without touching the allocator: the
+/// floorplan is the engine's layout template filled with this
+/// placement's core slots and solved by [`GridGeometry::solve`], with
+/// no block names, maps or per-candidate vectors.
 #[derive(Debug)]
 pub struct EvalScratch {
     link_loads: Vec<f64>,
@@ -937,10 +942,17 @@ pub struct EvalScratch {
     /// length of the current candidate floorplan (MinPower floor).
     out_min: Vec<f64>,
     in_min: Vec<f64>,
+    /// The candidate floorplan: block slots and shapes (the engine's
+    /// switch blocks, then this placement's cores), the core-indexed
+    /// block index (`u32::MAX` = no block) and the solved geometry.
+    slots: Vec<(usize, usize)>,
+    shapes: Vec<BlockShape>,
+    core_block: Vec<u32>,
+    grid: GridGeometry,
 }
 
 impl EvalScratch {
-    fn new(node_count: usize, edge_count: usize) -> Self {
+    fn new(node_count: usize, edge_count: usize, core_count: usize) -> Self {
         EvalScratch {
             link_loads: vec![0.0; edge_count],
             switch_traffic: vec![0.0; node_count],
@@ -960,6 +972,10 @@ impl EvalScratch {
             len_suffix: Vec::new(),
             out_min: vec![0.0; node_count],
             in_min: vec![0.0; node_count],
+            slots: Vec::new(),
+            shapes: Vec::new(),
+            core_block: vec![u32::MAX; core_count],
+            grid: GridGeometry::new(),
         }
     }
 }
@@ -979,6 +995,19 @@ pub struct EvalEngine<'a> {
     commodities: Vec<Commodity>,
     /// Node-indexed switch block areas (zero for non-switches).
     switch_areas: Vec<f64>,
+    /// The topology's placement-independent layout, derived once.
+    template: LayoutTemplate,
+    /// Slots and shapes of the template's switch blocks — the first
+    /// blocks of every candidate floorplan.
+    switch_slots: Vec<(usize, usize)>,
+    switch_shapes: Vec<BlockShape>,
+    /// Node-indexed floorplan block of each switch (`u32::MAX` = none).
+    switch_block: Vec<u32>,
+    /// Core-indexed block shapes.
+    core_shapes: Vec<BlockShape>,
+    /// Whether every placement's layout passes the floorplan checks
+    /// (see [`EvalEngine::solve_floorplan`]).
+    layout_valid: bool,
     /// Node-indexed bit-traversal energies (J/bit).
     switch_energy: Vec<f64>,
     switch_area_total: f64,
@@ -1049,6 +1078,24 @@ impl<'a> EvalEngine<'a> {
             switch_area_total += area;
         }
         let design_area = (switch_area_total + app.total_core_area()) / constraints.utilization;
+        let template = LayoutTemplate::new(g, &switch_areas);
+        let mut switch_slots = Vec::new();
+        let mut switch_shapes = Vec::new();
+        let mut switch_block = vec![u32::MAX; g.node_count()];
+        for (node, slot, area) in template.switches() {
+            switch_block[node.index()] = switch_slots.len() as u32;
+            switch_slots.push(slot);
+            switch_shapes.push(BlockShape::soft(area));
+        }
+        let core_shapes: Vec<BlockShape> = app.cores().map(|(c, _)| core_shape(app, c)).collect();
+        // Areas, aspect ranges and slot uniqueness are the same for every
+        // placement, so one check here stands for every candidate's.
+        let layout_valid = !switch_slots.is_empty()
+            && switch_shapes
+                .iter()
+                .chain(&core_shapes)
+                .all(|s| s.area_is_valid() && s.aspect_is_valid())
+            && template.slots_disjoint();
         let edge_capacity: Vec<f64> = g.edges().map(|(_, e)| e.capacity).collect();
         let net_edge: Vec<bool> = g.edges().map(|(_, e)| e.is_network_link()).collect();
         let commodities = app.commodities();
@@ -1083,6 +1130,12 @@ impl<'a> EvalEngine<'a> {
             constraints: *constraints,
             commodities,
             switch_areas,
+            template,
+            switch_slots,
+            switch_shapes,
+            switch_block,
+            core_shapes,
+            layout_valid,
             switch_energy,
             switch_area_total,
             design_area,
@@ -1103,7 +1156,68 @@ impl<'a> EvalEngine<'a> {
 
     /// Fresh scratch buffers sized for this engine's graph.
     pub fn new_scratch(&self) -> EvalScratch {
-        EvalScratch::new(self.g.node_count(), self.g.edge_count())
+        EvalScratch::new(
+            self.g.node_count(),
+            self.g.edge_count(),
+            self.app.core_count(),
+        )
+    }
+
+    /// Floorplans `placement` into `scratch`: the template's switch
+    /// blocks plus the placement's core blocks, solved by
+    /// [`GridGeometry::solve`]. The solved geometry equals the named
+    /// `layout_blocks(..).placement.floorplan()` block for block (block
+    /// order differs, which moves no block and no chip extent).
+    ///
+    /// When the engine could not prove every layout valid, the named
+    /// floorplan runs first so any error is exactly the reference's.
+    fn solve_floorplan(
+        &self,
+        placement: &Placement,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), FloorplanError> {
+        if !self.layout_valid {
+            layout_blocks(self.g, self.app, placement, &self.switch_areas)
+                .placement
+                .floorplan()?;
+        }
+        let fp_timer = crate::timing::floorplan_start();
+        let EvalScratch {
+            slots,
+            shapes,
+            core_block,
+            grid,
+            ..
+        } = scratch;
+        slots.clear();
+        slots.extend_from_slice(&self.switch_slots);
+        shapes.clear();
+        shapes.extend_from_slice(&self.switch_shapes);
+        core_block.fill(u32::MAX);
+        self.template.for_each_core(placement, |core, slot| {
+            core_block[core.index()] = slots.len() as u32;
+            slots.push(slot);
+            shapes.push(self.core_shapes[core.index()]);
+        });
+        grid.solve(slots, shapes);
+        crate::timing::floorplan_finish(fp_timer);
+        Ok(())
+    }
+
+    /// The candidate floorplan block of the vertex a core or port
+    /// occupies (as [`crate::LayoutBlocks::block_of_node`]): for a mapped
+    /// core its core block, for a bare switch its switch block.
+    fn block_of_node(
+        &self,
+        placement: &Placement,
+        scratch: &EvalScratch,
+        node: NodeId,
+    ) -> Option<usize> {
+        let block = match placement.core_at(node) {
+            Some(core) => scratch.core_block[core.index()],
+            None => self.switch_block[node.index()],
+        };
+        (block != u32::MAX).then_some(block as usize)
     }
 
     /// The report's area/aspect feasibility verdict for a floorplan
@@ -1119,8 +1233,8 @@ impl<'a> EvalEngine<'a> {
     }
 
     /// Evaluates `placement` and returns the cost report — bit-identical
-    /// to `evaluate(..)?.report`, at a fraction of the cost and (outside
-    /// the floorplan solve) without heap allocation.
+    /// to `evaluate(..)?.report`, at a fraction of the cost and without
+    /// heap allocation.
     ///
     /// # Errors
     ///
@@ -1148,24 +1262,19 @@ impl<'a> EvalEngine<'a> {
             totals.add(c.bandwidth, hops);
         }
 
-        let layout = layout_blocks(self.g, self.app, placement, &self.switch_areas);
-        let fp_timer = crate::timing::floorplan_start();
-        let floorplan = layout.placement.floorplan()?;
-        crate::timing::floorplan_finish(fp_timer);
-        Ok(self.assemble_report(placement, scratch, &layout, &floorplan, totals))
+        self.solve_floorplan(placement, scratch)?;
+        Ok(self.assemble_report(placement, scratch, totals))
     }
 
-    /// Fig. 5 steps 7–8 on accumulated loads: power, feasibility and
-    /// the metric report. Shared verbatim by [`EvalEngine::
-    /// evaluate_report`] and the bounded sweep evaluation, so a
-    /// candidate that survives its bounds produces a report
-    /// bit-identical to the unbounded path's.
+    /// Fig. 5 steps 7–8 on accumulated loads and the solved candidate
+    /// floorplan in `scratch`: power, feasibility and the metric
+    /// report. Shared verbatim by [`EvalEngine::evaluate_report`] and
+    /// the bounded sweep evaluation, so a candidate that survives its
+    /// bounds produces a report bit-identical to the unbounded path's.
     fn assemble_report(
         &self,
         placement: &Placement,
         scratch: &EvalScratch,
-        layout: &LayoutBlocks,
-        floorplan: &Floorplan,
         totals: RouteTotals,
     ) -> CostReport {
         let g = self.g;
@@ -1186,12 +1295,12 @@ impl<'a> EvalEngine<'a> {
                 continue;
             }
             let (Some(a), Some(b)) = (
-                layout.block_of_node(placement, edge.src),
-                layout.block_of_node(placement, edge.dst),
+                self.block_of_node(placement, scratch, edge.src),
+                self.block_of_node(placement, scratch, edge.dst),
             ) else {
                 continue;
             };
-            let length = floorplan.link_length(a, b);
+            let length = scratch.grid.link_length(a, b);
             link_power_mw += self.lib.link_power(load, length);
             length_sum += length;
             loaded_links += 1;
@@ -1201,7 +1310,7 @@ impl<'a> EvalEngine<'a> {
             !edge.is_network_link()
                 || scratch.link_loads[eid.index()] <= edge.capacity * BANDWIDTH_TOLERANCE
         });
-        let chip_aspect = floorplan.chip_aspect();
+        let chip_aspect = scratch.grid.chip_aspect();
         let area_ok = self.area_feasible(chip_aspect);
 
         let avg_hops = if totals.total_bw > 0.0 {
@@ -1224,7 +1333,7 @@ impl<'a> EvalEngine<'a> {
             avg_hops,
             mean_hops,
             design_area: self.design_area,
-            floorplan_area: floorplan.chip_area(),
+            floorplan_area: scratch.grid.chip_area(),
             switch_area: self.switch_area_total,
             power_mw: switch_power_mw + link_power_mw,
             switch_power_mw,
@@ -1736,11 +1845,20 @@ impl<'a> EvalEngine<'a> {
 
     /// Full candidate evaluation with the early-exit bound: identical
     /// accumulation arithmetic to [`EvalEngine::evaluate_report`] (a
-    /// completed evaluation's report is bit-identical), but the
-    /// floorplan is solved first and after every routed commodity the
-    /// partial cost plus an optimistic suffix is checked against the
-    /// incumbent. `None` means the candidate was abandoned as provably
-    /// unable to win, or errored (the search skips it either way).
+    /// completed evaluation's report is bit-identical), but after every
+    /// routed commodity the partial cost plus an optimistic suffix is
+    /// checked against the incumbent. `None` means the candidate was
+    /// abandoned as provably unable to win, or errored (the search
+    /// skips it either way).
+    ///
+    /// The floorplan is solved before routing only when a pre-routing
+    /// bound reads it: the MinPower suffix bound against a feasible
+    /// incumbent, whose link-length floors come from the candidate's
+    /// geometry (and whose area verdict can then abandon it at once).
+    /// Every other candidate is floorplanned only once it has survived
+    /// routing, so abandoned candidates are never floorplanned. Both
+    /// orders reach the same outcome: an abandoned candidate and one
+    /// whose floorplan errors are both skipped.
     fn evaluate_bounded(
         &self,
         placement: &Placement,
@@ -1748,38 +1866,19 @@ impl<'a> EvalEngine<'a> {
         inc: &Incumbent,
         objective: Objective,
     ) -> Option<CostReport> {
-        let g = self.g;
-        let layout = layout_blocks(g, self.app, placement, &self.switch_areas);
-        let fp_timer = crate::timing::floorplan_start();
-        let floorplan = layout.placement.floorplan().ok()?;
-        crate::timing::floorplan_finish(fp_timer);
-        let chip_aspect = floorplan.chip_aspect();
-        if inc.feasible && !self.area_feasible(chip_aspect) {
-            // Certainly infeasible against a feasible incumbent.
-            return None;
-        }
-
-        // Candidate link lengths (zero for edges the report's power
-        // loop skips) and the shortest powered length, for the
-        // link-power share of the suffix bound.
-        let mut len_min = f64::INFINITY;
-        for (eid, edge) in g.edges() {
-            let mut len = 0.0;
-            if edge.is_network_link() {
-                if let (Some(x), Some(y)) = (
-                    layout.block_of_node(placement, edge.src),
-                    layout.block_of_node(placement, edge.dst),
-                ) {
-                    len = floorplan.link_length(x, y);
-                    if len < len_min {
-                        len_min = len;
-                    }
-                }
+        let n = self.commodities.len();
+        let suffix_bound = inc.feasible
+            && matches!(objective, Objective::MinDelay | Objective::MinPower)
+            && self.total_bw_all > 0.0;
+        let power_bound = suffix_bound && objective == Objective::MinPower;
+        let mut len_min = 0.0;
+        if power_bound {
+            self.solve_floorplan(placement, scratch).ok()?;
+            if !self.area_feasible(scratch.grid.chip_aspect()) {
+                // Certainly infeasible against a feasible incumbent.
+                return None;
             }
-            scratch.edge_len[eid.index()] = len;
-        }
-        if !len_min.is_finite() {
-            len_min = 0.0;
+            len_min = self.candidate_link_lengths(placement, scratch);
         }
 
         // Optimistic suffix masses in routing order: after commodity i,
@@ -1790,42 +1889,6 @@ impl<'a> EvalEngine<'a> {
         // consume them (MinArea/MinBandwidth prune on the tracked max
         // load alone), so the other objectives skip the build — and
         // MinDelay skips the power-only arrays.
-        let n = self.commodities.len();
-        let suffix_bound = inc.feasible
-            && matches!(objective, Objective::MinDelay | Objective::MinPower)
-            && self.total_bw_all > 0.0;
-        let power_bound = suffix_bound && objective == Objective::MinPower;
-        if power_bound {
-            // Per-node minimum powered link lengths under *this*
-            // candidate floorplan: any route's first network link
-            // departs the source's ingress switch and its last enters
-            // the destination's egress switch, so those two links cost
-            // at least `out_min[ingress]` / `in_min[egress]` — a
-            // per-commodity floor strictly tighter than `len_min` per
-            // link. Unpowered (block-less) links keep length 0, which
-            // only loosens the floor; nodes without network links fall
-            // back to `len_min`.
-            scratch.out_min.fill(f64::INFINITY);
-            scratch.in_min.fill(f64::INFINITY);
-            for (eid, edge) in g.edges() {
-                if !edge.is_network_link() {
-                    continue;
-                }
-                let len = scratch.edge_len[eid.index()];
-                let (s, d) = (edge.src.index(), edge.dst.index());
-                if len < scratch.out_min[s] {
-                    scratch.out_min[s] = len;
-                }
-                if len < scratch.in_min[d] {
-                    scratch.in_min[d] = len;
-                }
-            }
-            for slot in scratch.out_min.iter_mut().chain(scratch.in_min.iter_mut()) {
-                if !slot.is_finite() {
-                    *slot = len_min;
-                }
-            }
-        }
         if suffix_bound {
             scratch.min_suffix.clear();
             scratch.min_suffix.resize(n + 1, 0.0);
@@ -1886,7 +1949,10 @@ impl<'a> EvalEngine<'a> {
         scratch.link_loads.fill(0.0);
         scratch.switch_traffic.fill(0.0);
         let mut totals = RouteTotals::default();
-        let mut track = BoundTracker::default();
+        let mut track = BoundTracker {
+            track_link_power: power_bound,
+            ..BoundTracker::default()
+        };
         for i in 0..n {
             let c = self.commodities[i];
             let src = placement.node_of(c.src);
@@ -1933,7 +1999,69 @@ impl<'a> EvalEngine<'a> {
                 return None;
             }
         }
-        Some(self.assemble_report(placement, scratch, &layout, &floorplan, totals))
+        if !power_bound {
+            self.solve_floorplan(placement, scratch).ok()?;
+            if inc.feasible && !self.area_feasible(scratch.grid.chip_aspect()) {
+                return None;
+            }
+        }
+        Some(self.assemble_report(placement, scratch, totals))
+    }
+
+    /// Fills `scratch.edge_len` with the candidate floorplan's link
+    /// lengths (zero for edges the report's power loop skips) and the
+    /// per-node floors `out_min` / `in_min` of the MinPower suffix
+    /// bound; returns the shortest powered length.
+    fn candidate_link_lengths(&self, placement: &Placement, scratch: &mut EvalScratch) -> f64 {
+        let g = self.g;
+        let mut len_min = f64::INFINITY;
+        for (eid, edge) in g.edges() {
+            let mut len = 0.0;
+            if edge.is_network_link() {
+                if let (Some(x), Some(y)) = (
+                    self.block_of_node(placement, scratch, edge.src),
+                    self.block_of_node(placement, scratch, edge.dst),
+                ) {
+                    len = scratch.grid.link_length(x, y);
+                    if len < len_min {
+                        len_min = len;
+                    }
+                }
+            }
+            scratch.edge_len[eid.index()] = len;
+        }
+        if !len_min.is_finite() {
+            len_min = 0.0;
+        }
+        // Per-node minimum powered link lengths under *this* candidate
+        // floorplan: any route's first network link departs the
+        // source's ingress switch and its last enters the destination's
+        // egress switch, so those two links cost at least
+        // `out_min[ingress]` / `in_min[egress]` — a per-commodity floor
+        // strictly tighter than `len_min` per link. Unpowered
+        // (block-less) links keep length 0, which only loosens the
+        // floor; nodes without network links fall back to `len_min`.
+        scratch.out_min.fill(f64::INFINITY);
+        scratch.in_min.fill(f64::INFINITY);
+        for (eid, edge) in g.edges() {
+            if !edge.is_network_link() {
+                continue;
+            }
+            let len = scratch.edge_len[eid.index()];
+            let (s, d) = (edge.src.index(), edge.dst.index());
+            if len < scratch.out_min[s] {
+                scratch.out_min[s] = len;
+            }
+            if len < scratch.in_min[d] {
+                scratch.in_min[d] = len;
+            }
+        }
+        for slot in scratch.out_min.iter_mut().chain(scratch.in_min.iter_mut()) {
+            if !slot.is_finite() {
+                *slot = len_min;
+            }
+        }
+        len_min
     }
 
     /// Updates the bound tracker with the commodity just routed into
@@ -2020,7 +2148,9 @@ impl<'a> EvalEngine<'a> {
             }
             track.over |= load > self.edge_capacity[edge] * BANDWIDTH_TOLERANCE;
         }
-        track.link_power += flow * self.link_rate_mm * scratch.edge_len[edge];
+        if track.track_link_power {
+            track.link_power += flow * self.link_rate_mm * scratch.edge_len[edge];
+        }
     }
 
     /// The delta-pruned phase-3 pass: scores every `(a, b)` swap of
@@ -2275,6 +2405,9 @@ struct BoundTracker {
     link_power: f64,
     max_load: f64,
     over: bool,
+    /// Whether `link_power` is tracked: only the MinPower suffix bound
+    /// reads it, and only then are the candidate link lengths known.
+    track_link_power: bool,
 }
 
 impl Default for BoundTracker {
@@ -2284,6 +2417,7 @@ impl Default for BoundTracker {
             link_power: 0.0,
             max_load: f64::NEG_INFINITY,
             over: false,
+            track_link_power: false,
         }
     }
 }

@@ -12,10 +12,18 @@
 //! * **Clos / butterfly** — switch stages form middle columns with the
 //!   core blocks in columns flanking them, which is what makes indirect
 //!   links longer than direct ones (the paper measured ~1.5x for the
-//!   butterfly).
+//!   butterfly);
+//! * **custom** — switches on their builder-declared slots, each
+//!   switch's mapped cores stacked beside it.
+//!
+//! Everything but the core slots is placement-independent, so each
+//! topology's layout is first derived as a [`LayoutTemplate`]; a
+//! placement only decides which cores take which of its slots. The
+//! named [`layout_blocks`] and the evaluation engine's allocation-free
+//! floorplan both read the same template, so the slot rules exist once.
 
 use crate::Placement;
-use sunmap_floorplan::{BlockId, BlockSpec, RelativePlacement};
+use sunmap_floorplan::{BlockId, BlockShape, BlockSpec, RelativePlacement};
 use sunmap_topology::{NodeCoords, NodeId, TopologyGraph, TopologyKind};
 use sunmap_traffic::{CoreGraph, CoreId};
 
@@ -58,6 +66,11 @@ impl LayoutBlocks {
 /// with per-switch block areas in `switch_areas` (mm², from the area
 /// library), indexed by node id.
 ///
+/// This is the named reference layout: it derives the topology's
+/// layout template (slots and areas of every block) and names its
+/// blocks for one placement. The evaluation engine derives the template
+/// once per topology and solves the same slots without names.
+///
 /// # Panics
 ///
 /// Panics if `switch_areas` is shorter than the graph's node count —
@@ -69,32 +82,290 @@ pub fn layout_blocks(
     placement: &Placement,
     switch_areas: &[f64],
 ) -> LayoutBlocks {
-    match g.kind() {
-        TopologyKind::Mesh { .. } | TopologyKind::Torus { .. } | TopologyKind::Octagon => {
-            // Octagon switches carry perimeter grid coordinates, so the
-            // tile layout applies unchanged.
-            direct_layout(g, app, placement, switch_areas, grid_slot_of_grid)
-        }
-        TopologyKind::Hypercube { dim } => {
-            let half = dim / 2;
-            direct_layout(
-                g,
-                app,
-                placement,
-                switch_areas,
-                move |coords| match coords {
+    LayoutTemplate::new(g, switch_areas).blocks(g, app, placement)
+}
+
+/// The floorplan shape of `core`: soft or hard at its declared area.
+pub(crate) fn core_shape(app: &CoreGraph, core: CoreId) -> BlockShape {
+    let c = app.core(core);
+    if c.soft {
+        BlockShape::soft(c.area)
+    } else {
+        BlockShape::hard(c.area)
+    }
+}
+
+/// One entry of a [`LayoutTemplate`], in layout order.
+#[derive(Debug, Clone, Copy)]
+enum TemplateBlock {
+    /// A switch block at a fixed slot.
+    Switch {
+        node: NodeId,
+        slot: (usize, usize),
+        area: f64,
+    },
+    /// The cores mapped onto `members[start..end]`: the `k`-th
+    /// *occupied* member (in member order) sits at `(row + k, col)` of
+    /// `slot`. Direct and indirect topologies give every mappable
+    /// vertex a group of its own; custom topologies stack a switch's
+    /// ports in one group.
+    Cores {
+        slot: (usize, usize),
+        start: usize,
+        end: usize,
+    },
+}
+
+/// The placement-independent part of a topology's layout: the slot and
+/// area of every switch block, and the slots cores take on each
+/// mappable vertex. One placement's relative placement follows from it
+/// by [`LayoutTemplate::for_each_core`], the single place where a core
+/// gets its slot.
+#[derive(Debug, Clone)]
+pub(crate) struct LayoutTemplate {
+    blocks: Vec<TemplateBlock>,
+    members: Vec<NodeId>,
+}
+
+impl LayoutTemplate {
+    /// Derives the template of `g` for each topology family:
+    ///
+    /// * **mesh / torus / octagon / hypercube** — each switch at
+    ///   `(row, 2·col + 1)` of its tile, the core mapped onto it at
+    ///   `(row, 2·col)`;
+    /// * **Clos / butterfly / star** — core ports first, in the flanking
+    ///   columns, then the switch stages as middle columns;
+    /// * **custom** — each switch at its builder-declared slot (rows
+    ///   expanded by the largest port count), its ports' cores stacked
+    ///   in the column to its left.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `switch_areas` is shorter than the graph's node count.
+    pub(crate) fn new(g: &TopologyGraph, switch_areas: &[f64]) -> Self {
+        let mut t = LayoutTemplate {
+            blocks: Vec::new(),
+            members: Vec::new(),
+        };
+        match g.kind() {
+            TopologyKind::Mesh { .. } | TopologyKind::Torus { .. } | TopologyKind::Octagon => {
+                // Octagon switches carry perimeter grid coordinates, so
+                // the tile layout applies unchanged.
+                t.direct(g, switch_areas, grid_slot_of_grid);
+            }
+            TopologyKind::Hypercube { dim } => {
+                let half = dim / 2;
+                t.direct(g, switch_areas, move |coords| match coords {
                     NodeCoords::Hyper { label } => (
                         (label >> half) as usize,
                         (label & ((1 << half) - 1)) as usize,
                     ),
                     other => panic!("expected hypercube coords, found {other}"),
-                },
-            )
+                });
+            }
+            TopologyKind::Clos { .. }
+            | TopologyKind::Butterfly { .. }
+            | TopologyKind::Star { .. } => t.indirect(g, switch_areas),
+            TopologyKind::Custom { .. } => t.custom(g, switch_areas),
         }
-        TopologyKind::Clos { .. } | TopologyKind::Butterfly { .. } | TopologyKind::Star { .. } => {
-            indirect_layout(g, app, placement, switch_areas)
+        t
+    }
+
+    fn push_cores(&mut self, slot: (usize, usize), members: &[NodeId]) {
+        let start = self.members.len();
+        self.members.extend_from_slice(members);
+        self.blocks.push(TemplateBlock::Cores {
+            slot,
+            start,
+            end: self.members.len(),
+        });
+    }
+
+    fn direct(
+        &mut self,
+        g: &TopologyGraph,
+        switch_areas: &[f64],
+        slot: impl Fn(NodeCoords) -> (usize, usize),
+    ) {
+        for s in g.switches() {
+            let (row, col) = slot(g.coords(s));
+            self.blocks.push(TemplateBlock::Switch {
+                node: s,
+                slot: (row, 2 * col + 1),
+                area: switch_areas[s.index()],
+            });
+            self.push_cores((row, 2 * col), &[s]);
         }
-        TopologyKind::Custom { .. } => custom_layout(g, app, placement, switch_areas),
+    }
+
+    fn indirect(&mut self, g: &TopologyGraph, switch_areas: &[f64]) {
+        let ports = g.core_ports().count();
+        let stages = 1 + g
+            .switches()
+            .filter_map(|s| match g.coords(s) {
+                NodeCoords::Stage { stage, .. } => Some(stage),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let mut stage_size = vec![0usize; stages];
+        for s in g.switches() {
+            if let NodeCoords::Stage { stage, .. } = g.coords(s) {
+                stage_size[stage] += 1;
+            }
+        }
+        let max_stage = stage_size.iter().copied().max().unwrap_or(1);
+        // Layout rows: enough for the tallest stage and a near-square
+        // core arrangement.
+        let rows = ((ports as f64).sqrt().ceil() as usize)
+            .max(max_stage)
+            .max(1);
+        let core_cols = ports.div_ceil(rows);
+        let left_cols = core_cols.div_ceil(2);
+
+        // Core ports flank the switch stages: left columns, then
+        // stages, then right columns.
+        for port in g.core_ports() {
+            let NodeCoords::Port { index } = g.coords(port) else {
+                continue;
+            };
+            let core_col = index / rows;
+            let col = if core_col < left_cols {
+                core_col
+            } else {
+                core_col + stages
+            };
+            self.push_cores((index % rows, col), &[port]);
+        }
+        for s in g.switches() {
+            let NodeCoords::Stage { stage, index } = g.coords(s) else {
+                continue;
+            };
+            self.blocks.push(TemplateBlock::Switch {
+                node: s,
+                slot: (index * rows / stage_size[stage], left_cols + stage),
+                area: switch_areas[s.index()],
+            });
+        }
+    }
+
+    /// Custom topologies: rows are expanded by the largest port count
+    /// so stacked cores never collide with neighbouring tiles.
+    fn custom(&mut self, g: &TopologyGraph, switch_areas: &[f64]) {
+        let mut ports_of: Vec<Vec<NodeId>> = vec![Vec::new(); g.node_count()];
+        for port in g.core_ports() {
+            if let Ok(sw) = g.ingress_switch(port) {
+                ports_of[sw.index()].push(port);
+            }
+        }
+        let expand = ports_of.iter().map(Vec::len).max().unwrap_or(1).max(1);
+        for s in g.switches() {
+            let NodeCoords::Grid { row, col } = g.coords(s) else {
+                continue;
+            };
+            self.blocks.push(TemplateBlock::Switch {
+                node: s,
+                slot: (row * expand, 2 * col + 1),
+                area: switch_areas[s.index()],
+            });
+            self.push_cores((row * expand, 2 * col), &ports_of[s.index()]);
+        }
+    }
+
+    /// Every switch block as `(node, slot, area)`, in layout order.
+    pub(crate) fn switches(&self) -> impl Iterator<Item = (NodeId, (usize, usize), f64)> + '_ {
+        self.blocks.iter().filter_map(|b| match *b {
+            TemplateBlock::Switch { node, slot, area } => Some((node, slot, area)),
+            TemplateBlock::Cores { .. } => None,
+        })
+    }
+
+    /// Calls `f(core, slot)` for every core `placement` maps onto a
+    /// vertex of the layout, in layout order.
+    pub(crate) fn for_each_core(
+        &self,
+        placement: &Placement,
+        mut f: impl FnMut(CoreId, (usize, usize)),
+    ) {
+        for b in &self.blocks {
+            if let TemplateBlock::Cores { slot, start, end } = *b {
+                self.group_cores(slot, start, end, placement, &mut f);
+            }
+        }
+    }
+
+    /// The slot rule: the `k`-th occupied member of a group sits `k`
+    /// rows below the group's slot.
+    fn group_cores(
+        &self,
+        (row, col): (usize, usize),
+        start: usize,
+        end: usize,
+        placement: &Placement,
+        f: &mut impl FnMut(CoreId, (usize, usize)),
+    ) {
+        let mut stacked = 0usize;
+        for &node in &self.members[start..end] {
+            if let Some(core) = placement.core_at(node) {
+                f(core, (row + stacked, col));
+                stacked += 1;
+            }
+        }
+    }
+
+    /// Whether no placement can put two blocks on one slot: every
+    /// switch slot and every slot any group can stack onto are pairwise
+    /// distinct.
+    pub(crate) fn slots_disjoint(&self) -> bool {
+        let mut slots: Vec<(usize, usize)> = Vec::new();
+        for b in &self.blocks {
+            match *b {
+                TemplateBlock::Switch { slot, .. } => slots.push(slot),
+                TemplateBlock::Cores {
+                    slot: (row, col),
+                    start,
+                    end,
+                } => slots.extend((0..end - start).map(|k| (row + k, col))),
+            }
+        }
+        slots.sort_unstable();
+        slots.windows(2).all(|w| w[0] != w[1])
+    }
+
+    /// The named relative placement of `placement`, blocks in layout
+    /// order.
+    pub(crate) fn blocks(
+        &self,
+        g: &TopologyGraph,
+        app: &CoreGraph,
+        placement: &Placement,
+    ) -> LayoutBlocks {
+        let mut rp = RelativePlacement::new();
+        let mut switch_block = vec![None; g.node_count()];
+        let mut core_block = vec![None; app.core_count()];
+        for b in &self.blocks {
+            match *b {
+                TemplateBlock::Switch { node, slot, area } => {
+                    let id =
+                        rp.add_block(BlockSpec::soft(format!("sw_{node}"), area), slot.0, slot.1);
+                    switch_block[node.index()] = Some(id);
+                }
+                TemplateBlock::Cores { slot, start, end } => {
+                    self.group_cores(slot, start, end, placement, &mut |core, (row, col)| {
+                        let spec = BlockSpec::with_shape(
+                            app.core(core).name.clone(),
+                            core_shape(app, core),
+                        );
+                        core_block[core.index()] = Some(rp.add_block(spec, row, col));
+                    });
+                }
+            }
+        }
+        LayoutBlocks {
+            placement: rp,
+            switch_block,
+            core_block,
+        }
     }
 }
 
@@ -102,164 +373,6 @@ fn grid_slot_of_grid(coords: NodeCoords) -> (usize, usize) {
     match coords {
         NodeCoords::Grid { row, col } => (row, col),
         other => panic!("expected grid coords, found {other}"),
-    }
-}
-
-fn direct_layout(
-    g: &TopologyGraph,
-    app: &CoreGraph,
-    placement: &Placement,
-    switch_areas: &[f64],
-    slot: impl Fn(NodeCoords) -> (usize, usize),
-) -> LayoutBlocks {
-    let mut rp = RelativePlacement::new();
-    let mut switch_block = vec![None; g.node_count()];
-    let mut core_block = vec![None; app.core_count()];
-    for s in g.switches() {
-        let (row, col) = slot(g.coords(s));
-        let area = switch_areas[s.index()];
-        let id = rp.add_block(BlockSpec::soft(format!("sw_{s}"), area), row, 2 * col + 1);
-        switch_block[s.index()] = Some(id);
-        if let Some(core) = placement.core_at(s) {
-            let spec = core_spec(app, core);
-            let cid = rp.add_block(spec, row, 2 * col);
-            core_block[core.index()] = Some(cid);
-        }
-    }
-    LayoutBlocks {
-        placement: rp,
-        switch_block,
-        core_block,
-    }
-}
-
-fn core_spec(app: &CoreGraph, core: CoreId) -> BlockSpec {
-    let c = app.core(core);
-    if c.soft {
-        BlockSpec::soft(c.name.clone(), c.area)
-    } else {
-        BlockSpec::hard(c.name.clone(), c.area)
-    }
-}
-
-fn indirect_layout(
-    g: &TopologyGraph,
-    app: &CoreGraph,
-    placement: &Placement,
-    switch_areas: &[f64],
-) -> LayoutBlocks {
-    let ports = g.core_ports().count();
-    let stages = 1 + g
-        .switches()
-        .filter_map(|s| match g.coords(s) {
-            NodeCoords::Stage { stage, .. } => Some(stage),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    let mut stage_size = vec![0usize; stages];
-    for s in g.switches() {
-        if let NodeCoords::Stage { stage, .. } = g.coords(s) {
-            stage_size[stage] += 1;
-        }
-    }
-    let max_stage = stage_size.iter().copied().max().unwrap_or(1);
-    // Layout rows: enough for the tallest stage and a near-square core
-    // arrangement.
-    let rows = ((ports as f64).sqrt().ceil() as usize)
-        .max(max_stage)
-        .max(1);
-    let core_cols = ports.div_ceil(rows);
-    let left_cols = core_cols.div_ceil(2);
-
-    let mut rp = RelativePlacement::new();
-    let mut switch_block = vec![None; g.node_count()];
-    let mut core_block = vec![None; app.core_count()];
-
-    // Core ports flank the switch stages: left columns, then stages,
-    // then right columns.
-    for port in g.core_ports() {
-        let Some(core) = placement.core_at(port) else {
-            continue;
-        };
-        let NodeCoords::Port { index } = g.coords(port) else {
-            continue;
-        };
-        let core_col = index / rows;
-        let row = index % rows;
-        let col = if core_col < left_cols {
-            core_col
-        } else {
-            core_col + stages
-        };
-        let id = rp.add_block(core_spec(app, core), row, col);
-        core_block[core.index()] = Some(id);
-    }
-    for s in g.switches() {
-        let NodeCoords::Stage { stage, index } = g.coords(s) else {
-            continue;
-        };
-        let col = left_cols + stage;
-        let row = index * rows / stage_size[stage];
-        let id = rp.add_block(
-            BlockSpec::soft(format!("sw_{s}"), switch_areas[s.index()]),
-            row,
-            col,
-        );
-        switch_block[s.index()] = Some(id);
-    }
-    LayoutBlocks {
-        placement: rp,
-        switch_block,
-        core_block,
-    }
-}
-
-/// Layout for user-defined heterogeneous topologies: switches sit on
-/// their builder-declared grid slots; each switch's mapped cores stack
-/// in the column to its left. Rows are expanded by the largest port
-/// count so stacked cores never collide with neighbouring tiles.
-fn custom_layout(
-    g: &TopologyGraph,
-    app: &CoreGraph,
-    placement: &Placement,
-    switch_areas: &[f64],
-) -> LayoutBlocks {
-    let mut ports_of: Vec<Vec<NodeId>> = vec![Vec::new(); g.node_count()];
-    for port in g.core_ports() {
-        if let Ok(sw) = g.ingress_switch(port) {
-            ports_of[sw.index()].push(port);
-        }
-    }
-    let expand = ports_of.iter().map(Vec::len).max().unwrap_or(1).max(1);
-
-    let mut rp = RelativePlacement::new();
-    let mut switch_block = vec![None; g.node_count()];
-    let mut core_block = vec![None; app.core_count()];
-    for s in g.switches() {
-        let NodeCoords::Grid { row, col } = g.coords(s) else {
-            continue;
-        };
-        let id = rp.add_block(
-            BlockSpec::soft(format!("sw_{s}"), switch_areas[s.index()]),
-            row * expand,
-            2 * col + 1,
-        );
-        switch_block[s.index()] = Some(id);
-        let mut stacked = 0usize;
-        for port in &ports_of[s.index()] {
-            let Some(core) = placement.core_at(*port) else {
-                continue;
-            };
-            let cid = rp.add_block(core_spec(app, core), row * expand + stacked, 2 * col);
-            core_block[core.index()] = Some(cid);
-            stacked += 1;
-        }
-    }
-    LayoutBlocks {
-        placement: rp,
-        switch_block,
-        core_block,
     }
 }
 
@@ -339,6 +452,58 @@ mod tests {
         lb.placement
             .floorplan()
             .expect("hypercube layout floorplans");
+    }
+
+    /// Custom topologies stack a switch's cores by rank among its
+    /// *occupied* ports: an empty port leaves no gap.
+    #[test]
+    fn custom_cores_stack_by_occupied_rank() {
+        let mut b = sunmap_topology::CustomTopologyBuilder::new("stack");
+        let s0 = b.add_switch_at(0, 0);
+        let s1 = b.add_switch_at(0, 1);
+        b.add_link(s0, s1, 500.0).unwrap();
+        for _ in 0..3 {
+            b.add_port(s0).unwrap();
+        }
+        b.add_port(s1).unwrap();
+        let g = b.build().unwrap();
+        let ports = g.mappable_nodes().to_vec();
+        let mut app = CoreGraph::new();
+        for i in 0..3 {
+            app.add_core(format!("c{i}"), 1.0);
+        }
+        // Cores 0 and 1 on the first and third port of s0 (the second
+        // stays empty), core 2 on s1's port.
+        let p = Placement::new(vec![ports[0], ports[2], ports[3]], &g).unwrap();
+        let lb = layout_blocks(&g, &app, &p, &areas(&g));
+        let slot = |core: usize| lb.placement.position(lb.core_block[core].unwrap());
+        // Three ports on s0, so rows expand by three; s0's cores sit in
+        // column 0, stacked in rows 0 and 1.
+        assert_eq!(slot(0), (0, 0));
+        assert_eq!(slot(1), (1, 0));
+        assert_eq!(slot(2), (0, 2));
+        let template = LayoutTemplate::new(&g, &areas(&g));
+        assert!(template.slots_disjoint());
+        lb.placement.floorplan().expect("custom layout floorplans");
+    }
+
+    #[test]
+    fn library_templates_never_collide_but_shared_custom_slots_do() {
+        for g in builders::standard_library(24, 500.0).unwrap() {
+            assert!(
+                LayoutTemplate::new(&g, &areas(&g)).slots_disjoint(),
+                "{}",
+                g.kind()
+            );
+        }
+        let mut b = sunmap_topology::CustomTopologyBuilder::new("clash");
+        let s0 = b.add_switch_at(1, 1);
+        let s1 = b.add_switch_at(1, 1);
+        b.add_link(s0, s1, 500.0).unwrap();
+        b.add_port(s0).unwrap();
+        b.add_port(s1).unwrap();
+        let g = b.build().unwrap();
+        assert!(!LayoutTemplate::new(&g, &areas(&g)).slots_disjoint());
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! process-global counter instead of threading a collector through
 //! every evaluation signature.
 //!
+//! What is timed: in the evaluation engine, filling the layout template
+//! with a candidate's core slots plus the geometry-only grid solve; in
+//! the reference `evaluate`, the named floorplan solve. The engine's
+//! bounded swap-search evaluation floorplans a candidate only when a
+//! bound needs the geometry before routing or once the candidate has
+//! survived routing, so candidates the bounds abandon mid-routing are
+//! never floorplanned and add nothing here.
+//!
 //! Disabled (the default), the cost at each floorplan call is a single
 //! relaxed atomic load. Enabled, each call adds its wall-clock
 //! nanoseconds to the global accumulator; [`take_floorplan_nanos`]

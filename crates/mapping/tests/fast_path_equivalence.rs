@@ -16,13 +16,59 @@ use sunmap_mapping::{
     Placement, RouteTable, RoutingFunction, SwapStrategy,
 };
 use sunmap_power::{AreaPowerLibrary, Technology};
-use sunmap_topology::{builders, TopologyGraph};
+use sunmap_topology::{builders, CustomTopologyBuilder, TopologyGraph};
 use sunmap_traffic::CoreGraph;
 
 /// The five standard topologies, sized for 12 cores as in the paper.
 fn topology(idx: usize) -> TopologyGraph {
     let mut library = builders::standard_library(12, 500.0).expect("library builds");
     library.swap_remove(idx % 5)
+}
+
+/// A custom topology whose switches carry several ports each (so cores
+/// stack by rank among a switch's occupied ports): six auto-gridded
+/// switches on a ring with two chords, 2–4 ports per switch, 16 ports.
+/// With `collide`, two switches are declared on one grid slot, so every
+/// layout fails to floorplan.
+fn custom_topology(collide: bool) -> TopologyGraph {
+    let mut b = CustomTopologyBuilder::new("stacked");
+    let sw: Vec<_> = (0..6)
+        .map(|i| {
+            if collide && i < 2 {
+                b.add_switch_at(0, 0)
+            } else {
+                b.add_switch()
+            }
+        })
+        .collect();
+    for i in 0..6 {
+        b.add_link(sw[i], sw[(i + 1) % 6], 500.0)
+            .expect("ring link");
+    }
+    b.add_link(sw[0], sw[3], 500.0).expect("chord");
+    b.add_link(sw[1], sw[4], 500.0).expect("chord");
+    for (i, &s) in sw.iter().enumerate() {
+        for _ in 0..2 + i % 3 {
+            b.add_port(s).expect("port");
+        }
+    }
+    b.build().expect("custom topology builds")
+}
+
+/// The topology space of the report-equivalence property: the 12-core
+/// library (0–4), the 24-core library (5–9: 4×6 mesh and torus, 32-node
+/// hypercube, Clos, and a 64-port butterfly with many empty slots), the
+/// multi-port custom topology (10) and its slot-colliding twin (11).
+fn any_topology(idx: usize) -> TopologyGraph {
+    match idx {
+        0..=4 => topology(idx),
+        5..=9 => {
+            let mut library = builders::standard_library(24, 500.0).expect("library builds");
+            library.swap_remove(idx - 5)
+        }
+        10 => custom_topology(false),
+        _ => custom_topology(true),
+    }
 }
 
 fn routing(idx: usize) -> RoutingFunction {
@@ -49,9 +95,23 @@ fn constraints(relaxed: bool) -> Constraints {
 /// Builds an application from generated (src, dst, bandwidth) triples,
 /// skipping self-edges (parallel demands accumulate, as in the API).
 fn build_app(cores: usize, edges: &[(usize, usize, f64)]) -> CoreGraph {
+    build_app_with_hard(cores, edges, 0)
+}
+
+/// [`build_app`] with hard (fixed-square) cores: none for `hard == 0`,
+/// every third core for 1, all cores otherwise.
+fn build_app_with_hard(cores: usize, edges: &[(usize, usize, f64)], hard: usize) -> CoreGraph {
     let mut app = CoreGraph::new();
     let ids: Vec<_> = (0..cores)
-        .map(|i| app.add_core(format!("c{i}"), 0.5 + (i % 5) as f64))
+        .map(|i| {
+            let soft = match hard {
+                0 => true,
+                1 => i % 3 != 0,
+                _ => false,
+            };
+            app.try_add_core(format!("c{i}"), 0.5 + (i % 5) as f64, soft)
+                .expect("positive area")
+        })
         .collect();
     for &(s, d, bw) in edges {
         let (s, d) = (s % cores, d % cores);
@@ -156,22 +216,28 @@ fn reference_search(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `EvalEngine::evaluate_report` ≡ `evaluate(..).report`, bit for
-    /// bit, on random placements across all topologies and routing
-    /// functions — including identical error behaviour.
+    /// bit, on random placements across the 12- and 24-core libraries
+    /// and multi-port custom topologies, every routing function, soft
+    /// and hard cores — including identical error behaviour (a custom
+    /// layout with colliding slots fails with the reference's
+    /// floorplan error).
     #[test]
+    #[allow(clippy::too_many_arguments)]
     fn report_matches_reference(
-        topo in 0usize..5,
+        topo in 0usize..12,
         rf in 0usize..4,
-        cores in 2usize..=12,
-        edges in proptest::collection::vec((0usize..12, 0usize..12, 5.0f64..400.0), 1..18),
+        cores in 2usize..=24,
+        edges in proptest::collection::vec((0usize..24, 0usize..24, 5.0f64..400.0), 1..30),
         seed in 0u64..1_000_000,
         relaxed in 0usize..2,
+        hard in 0usize..3,
     ) {
-        let g = topology(topo);
-        let app = build_app(cores, &edges);
+        let g = any_topology(topo);
+        let cores = cores.min(g.mappable_nodes().len());
+        let app = build_app_with_hard(cores, &edges, hard);
         prop_assume!(app.edge_count() > 0);
         let routing = routing(rf);
         let constraints = constraints(relaxed == 1);
@@ -198,6 +264,9 @@ proptest! {
              Err(MappingError::Unroutable { src: rs, dst: rd })) => {
                 prop_assert_eq!((fs, fd), (rs, rd));
             }
+            (Err(MappingError::Floorplan(f)), Err(MappingError::Floorplan(r))) => {
+                prop_assert_eq!(f, r);
+            }
             (f, r) => {
                 return Err(TestCaseError::fail(format!(
                     "outcome mismatch: fast {f:?} vs reference {}",
@@ -214,6 +283,10 @@ proptest! {
             .map(|e| e.report);
         prop_assert_eq!(fast2, ref2);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// The engine-driven (cached, parallel) mapper returns exactly what
     /// the sequential reference search returns: same placement, same

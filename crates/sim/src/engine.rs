@@ -33,7 +33,7 @@ pub const SIM_PATH_CAP: usize = 8;
 /// ([`crate::reference`]), kept as the behavioral oracle: slow, useful
 /// for differential debugging only. Both produce **bit-identical**
 /// [`LatencyStats`](crate::LatencyStats) for the same seed —
-/// `tests/flat_equivalence.rs` proves it across topologies, patterns,
+/// `tests/engine_equivalence.rs` proves it across topologies, patterns,
 /// rates and trace mode.
 ///
 /// The enum keeps every historical spelling as its own variant, so a
@@ -474,7 +474,7 @@ pub(crate) struct Trace {
 mod tests {
     // These tests drive the default configuration (the `auto` spelling)
     // through `SimSession`; `tests/event_determinism.rs` pins the
-    // `event` spelling and `tests/flat_equivalence.rs` the oracle.
+    // `event` spelling and `tests/engine_equivalence.rs` the oracle.
 
     use std::sync::Arc;
 

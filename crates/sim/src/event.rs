@@ -30,7 +30,7 @@
 //! gains its first flit while edge `e` transfers can make a later edge
 //! `e' > e` eligible in the same cycle.
 //!
-//! `tests/flat_equivalence.rs` enforces the equivalence with the
+//! `tests/engine_equivalence.rs` enforces the equivalence with the
 //! oracle across topologies, patterns, rates and trace mode;
 //! `tests/regression_fixtures.rs` replays the pinned fixtures through
 //! this engine bit for bit.

@@ -5,7 +5,7 @@
 //! It allocates on the hot path (an `Rc<[NodeId]>` clone per flit, a
 //! `HashMap` path cache) and walks the graph's edge iterator every
 //! cycle, which is why it was replaced — but its *semantics* are the
-//! contract: the equivalence suite in `tests/flat_equivalence.rs`
+//! contract: the equivalence suite in `tests/engine_equivalence.rs`
 //! asserts the event-driven engine's [`LatencyStats`] are bit-identical
 //! to this engine's for the same seed, and the `sim_speed` bench group
 //! measures the rebuild's speedup against it. It resolves routes live,

@@ -257,7 +257,7 @@ fn non_default_config_fixture() {
 
 /// Event-engine trace fixtures for the four seed applications, captured
 /// from the event engine itself (and cross-checked against the
-/// reference engine by `flat_equivalence.rs`). These pin the event engine's output
+/// reference engine by `engine_equivalence.rs`). These pin the event engine's output
 /// directly, so a wheel/active-set regression cannot hide behind an
 /// equally wrong oracle comparison.
 #[test]
